@@ -27,13 +27,12 @@ from __future__ import annotations
 
 import base64
 import hashlib
-import json
-import os
 import pickle
-import tempfile
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Any, Dict, Optional, Union
+from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
+
+from ..durable import AppendLog, checksum, rewrite, scan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner ← checkpoint)
     from .runner import RunSpec
@@ -199,10 +198,7 @@ def spec_fingerprint(spec: "RunSpec") -> Optional[str]:
     recompute.
     """
     payload = canonical_spec_payload(spec)
-    if payload is None:
-        return None
-    canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return None if payload is None else checksum(payload)
 
 
 class CheckpointJournal:
@@ -210,19 +206,19 @@ class CheckpointJournal:
 
     One JSONL record per committed cell::
 
-        {"v": 1, "fp": "<spec fingerprint>", "sha": "<sha256 of blob>",
+        {"v": 2, "fp": "<spec fingerprint>", "sha": "<sha256 of blob>",
          "blob": "<base64 pickled SimulationResult>"}
 
-    Crash consistency comes from the write discipline (serialise →
-    append → flush → fsync, in that order, one line per record) plus a
-    tolerant reader: a torn trailing line, a checksum mismatch, or an
-    unpicklable blob all degrade to recomputing that cell.
+    Writes and reads follow :mod:`repro.durable` (fsync per record,
+    torn-tail guard, tolerant line scan); this class adds the record
+    codec and the read policy: a checksum mismatch or an unpicklable
+    blob degrades to recomputing that cell, and a later record wins.
     """
 
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.path = self.directory / JOURNAL_NAME
-        self._handle = None
+        self._log = AppendLog(self.path)
 
     # -- read ----------------------------------------------------------------
     def load(self) -> Dict[str, Any]:
@@ -234,31 +230,13 @@ class CheckpointJournal:
         """
         results: Dict[str, Any] = {}
         try:
-            raw = self.path.read_bytes()
-        except FileNotFoundError:
-            return results
+            entries = scan(self.path, _decode_record)
         except OSError:
             return results
-        for line in raw.splitlines():
-            if not line.strip():
+        for _, entry in entries:
+            if entry is None:
                 continue
-            try:
-                record = json.loads(line.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError):
-                continue  # torn write (the crash-consistency contract)
-            if not isinstance(record, dict) or record.get("v") != JOURNAL_VERSION:
-                continue
-            fp = record.get("fp")
-            blob = record.get("blob")
-            checksum = record.get("sha")
-            if not isinstance(fp, str) or not isinstance(blob, str):
-                continue
-            try:
-                payload = base64.b64decode(blob.encode("ascii"), validate=True)
-            except (ValueError, UnicodeEncodeError):
-                continue
-            if hashlib.sha256(payload).hexdigest() != checksum:
-                continue  # corrupt → miss, never a wrong hit
+            fp, payload = entry
             try:
                 results[fp] = pickle.loads(payload)
             except Exception:  # noqa: BLE001 - any unpickling failure = miss
@@ -273,56 +251,54 @@ class CheckpointJournal:
     def record(self, fingerprint: str, result: Any) -> bool:
         """Append one completed cell; returns False if it cannot be stored.
 
-        The record is durable (flushed + fsynced) before this returns,
-        so a parent killed immediately afterwards still resumes past
-        this cell.
+        The record is durable (fsynced) before this returns, so a parent
+        killed immediately afterwards still resumes past this cell.  A
+        full or read-only disk demotes checkpointing to a no-op (False,
+        and nothing of the record on disk); the campaign keeps running.
         """
         try:
             payload = pickle.dumps(result)
         except Exception:  # noqa: BLE001 - unpicklable result: skip journaling
             return False
-        record = {
-            "v": JOURNAL_VERSION,
-            "fp": fingerprint,
-            "sha": hashlib.sha256(payload).hexdigest(),
-            "blob": base64.b64encode(payload).decode("ascii"),
-        }
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        try:
-            if self._handle is None:
-                self.directory.mkdir(parents=True, exist_ok=True)
-                self._handle = open(self.path, "a+b")
-                # A crash mid-append can leave a torn tail with no
-                # newline; appending straight after it would glue this
-                # record onto the torn bytes and lose both.  Terminate
-                # the tail so it becomes its own (skipped) line.
-                self._handle.seek(0, os.SEEK_END)
-                if self._handle.tell() > 0:
-                    self._handle.seek(-1, os.SEEK_END)
-                    if self._handle.read(1) != b"\n":
-                        self._handle.write(b"\n")
-            self._handle.write(line.encode("utf-8"))
-            self._handle.flush()
-            os.fsync(self._handle.fileno())
-        except OSError:
-            # A full or read-only disk demotes checkpointing to a no-op;
-            # the campaign itself must keep running.
-            return False
-        return True
+        return self._log.append(
+            {
+                "v": JOURNAL_VERSION,
+                "fp": fingerprint,
+                "sha": hashlib.sha256(payload).hexdigest(),
+                "blob": base64.b64encode(payload).decode("ascii"),
+            }
+        )
 
     def close(self) -> None:
         """Close the append handle; idempotent."""
-        if self._handle is not None:
-            try:
-                self._handle.close()
-            finally:
-                self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "CheckpointJournal":
         return self
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+
+def _decode_record(record: Dict[str, Any]) -> Optional[Tuple[str, bytes]]:
+    """``(fingerprint, pickled result)`` of one intact record, else ``None``.
+
+    The acceptance rules shared by :meth:`CheckpointJournal.load`, GC and
+    the scrub: current version, field shapes, and the blob checksum.
+    """
+    fp = record.get("fp")
+    blob = record.get("blob")
+    if record.get("v") != JOURNAL_VERSION:
+        return None
+    if not isinstance(fp, str) or not isinstance(blob, str):
+        return None
+    try:
+        payload = base64.b64decode(blob.encode("ascii"), validate=True)
+    except ValueError:
+        return None
+    if hashlib.sha256(payload).hexdigest() != record.get("sha"):
+        return None  # corrupt → miss, never a wrong hit
+    return fp, payload
 
 
 @dataclass(frozen=True)
@@ -358,30 +334,6 @@ class JournalGcReport:
         return "\n".join(lines)
 
 
-def _intact_record_key(line: bytes) -> Optional[str]:
-    """The fingerprint of one journal line, or ``None`` if the line is
-    torn/corrupt/alien — the same acceptance rules as
-    :meth:`CheckpointJournal.load`, minus the (expensive, irrelevant
-    for compaction) unpickling of the blob."""
-    try:
-        record = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict) or record.get("v") != JOURNAL_VERSION:
-        return None
-    fp = record.get("fp")
-    blob = record.get("blob")
-    if not isinstance(fp, str) or not isinstance(blob, str):
-        return None
-    try:
-        payload = base64.b64decode(blob.encode("ascii"), validate=True)
-    except (ValueError, UnicodeEncodeError):
-        return None
-    if hashlib.sha256(payload).hexdigest() != record.get("sha"):
-        return None
-    return fp
-
-
 def gc_journal(
     directory: Union[str, Path], dry_run: bool = False
 ) -> JournalGcReport:
@@ -389,8 +341,8 @@ def gc_journal(
 
     The journal is append-only by design, so overlapping campaigns and
     crash-retry loops leave superseded duplicates and the odd torn tail
-    behind; GC drops both and rewrites the file **atomically** (temp
-    file + fsync + ``os.replace``), preserving the order in which each
+    behind; GC drops both and rewrites the file atomically
+    (:func:`repro.durable.rewrite`), preserving the order in which each
     surviving fingerprint last appeared.  Results are content-addressed,
     so dropping an *earlier* duplicate can never change what
     :meth:`CheckpointJournal.load` returns — later records already won.
@@ -407,63 +359,33 @@ def gc_journal(
     if not directory.is_dir():
         raise ConfigurationError(f"{directory} is not a checkpoint directory")
     path = directory / JOURNAL_NAME
-    try:
-        raw = path.read_bytes()
-    except FileNotFoundError:
-        return JournalGcReport(
-            path=path, dry_run=dry_run, lines_total=0, kept=0,
-            superseded=0, corrupt=0, bytes_before=0, bytes_after=0,
-        )
-    lines_total = corrupt = superseded = 0
+    entries = scan(path, _decode_record)
+    bytes_before = path.stat().st_size if entries else 0
     #: fingerprint -> raw line; insertion order re-ordered to "last
     #: appearance" by delete-then-insert, matching load()'s later-wins.
     survivors: Dict[str, bytes] = {}
-    for line in raw.splitlines():
-        if not line.strip():
+    superseded = 0
+    for line, entry in entries:
+        if entry is None:
             continue
-        lines_total += 1
-        fp = _intact_record_key(line)
-        if fp is None:
-            corrupt += 1
-            continue
+        fp = entry[0]
         if fp in survivors:
             superseded += 1
             del survivors[fp]
         survivors[fp] = line
-    compacted = b"".join(line + b"\n" for line in survivors.values())
     report = JournalGcReport(
         path=path,
         dry_run=dry_run,
-        lines_total=lines_total,
+        lines_total=len(entries),
         kept=len(survivors),
         superseded=superseded,
-        corrupt=corrupt,
-        bytes_before=len(raw),
-        bytes_after=len(compacted),
+        corrupt=sum(entry is None for _, entry in entries),
+        bytes_before=bytes_before,
+        bytes_after=sum(len(line) + 1 for line in survivors.values()),
     )
-    if dry_run:
-        return report
-    _atomic_rewrite(directory, path, compacted)
+    if entries and not dry_run:
+        rewrite(path, survivors.values())
     return report
-
-
-def _atomic_rewrite(directory: Path, path: Path, content: bytes) -> None:
-    """Replace *path* with *content* via temp file + fsync + rename."""
-    fd, tmp = tempfile.mkstemp(
-        prefix=".journal.gc.", suffix=".tmp", dir=str(directory)
-    )
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(content)
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise
 
 
 @dataclass(frozen=True)
@@ -524,38 +446,30 @@ def scrub_journal(
     from ..obs.registry import DISABLED
 
     sink = obs if obs is not None else DISABLED
-    directory = Path(directory)
-    path = directory / JOURNAL_NAME
+    path = Path(directory) / JOURNAL_NAME
     try:
-        raw = path.read_bytes()
-    except (FileNotFoundError, OSError):
+        entries = scan(path, _decode_record)
+    except OSError:
         return JournalScrubReport(path=path, repair=repair)
-    records = intact = corrupt = 0
-    survivors = []
-    for line in raw.splitlines():
-        if not line.strip():
-            continue
-        records += 1
+    intact = []
+    for line, entry in entries:
         sink.count("cache.scrub_journal_records")
-        if _intact_record_key(line) is None:
-            corrupt += 1
+        if entry is None:
             sink.count("cache.scrub_journal_corrupt")
-            continue
-        intact += 1
-        sink.count("cache.scrub_journal_intact")
-        survivors.append(line)
+        else:
+            sink.count("cache.scrub_journal_intact")
+            intact.append(line)
+    corrupt = len(entries) - len(intact)
     dropped = 0
     if repair and corrupt:
-        _atomic_rewrite(
-            directory, path, b"".join(line + b"\n" for line in survivors)
-        )
+        rewrite(path, intact)
         dropped = corrupt
         sink.count("cache.scrub_journal_dropped", corrupt)
     return JournalScrubReport(
         path=path,
         repair=repair,
-        records=records,
-        intact=intact,
+        records=len(entries),
+        intact=len(intact),
         corrupt=corrupt,
         dropped=dropped,
     )

@@ -14,7 +14,7 @@ the tiers may be shared between processes and across service restarts.
   registry is injected, as the obs counter ``cache.mem_evictions`` so
   ``/v1/metrics`` surfaces silent memory-pressure churn.
 * The **disk tier** stores one JSON file per fingerprint, sharded by the
-  first two hex digits, written atomically (temp file + ``os.replace``)
+  first two hex digits, written with :func:`repro.durable.atomic_write`
   so a crashed or concurrent writer can never leave a torn entry.  A
   disk hit is promoted back into the memory tier.  Unreadable entries
   are treated as misses and removed — the cache degrades to recomputing,
@@ -34,16 +34,15 @@ entries under ``quarantine/`` so they can never serve again, and the
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
+from ..durable import atomic_write, checksum
 from ..obs.registry import DISABLED, Registry
 
 #: Version of the on-disk entry envelope.
@@ -55,8 +54,7 @@ QUARANTINE_DIR = "quarantine"
 
 def payload_checksum(payload: Dict[str, Any]) -> str:
     """sha256 over the canonical JSON encoding of *payload*."""
-    canon = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return checksum(payload)
 
 
 def wrap_entry(key: str, payload: Dict[str, Any]) -> Dict[str, Any]:
@@ -169,58 +167,25 @@ class ResultCache:
         path = self._disk_path(key)
         if path is None:
             return None
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                document = json.load(handle)
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError):
-            # Torn or corrupt entry: drop it and recompute.
+        payload, verdict = _read_entry(path)
+        if payload is None and verdict != "missing":
+            # Torn, corrupt, or failing its checksum or identity: a
+            # wrong hit is the one outcome the cache must never produce,
+            # so the entry is swept and the lookup degrades to a miss.
             self._obs.count("cache.disk_corrupt")
             try:
                 path.unlink()
             except OSError:
                 pass
-            return None
-        payload, _ = open_entry(key, document)
-        if payload is None:
-            # Checksum or identity failure: a wrong hit is the one
-            # outcome the cache must never produce, so the entry is
-            # swept and the lookup degrades to a miss.
-            self._obs.count("cache.disk_corrupt")
-            try:
-                path.unlink()
-            except OSError:
-                pass
-            return None
         return payload
 
     def _disk_write(self, key: str, payload: Dict[str, Any]) -> None:
         path = self._disk_path(key)
         if path is None:
             return
+        data = json.dumps(wrap_entry(key, payload), sort_keys=True)
         try:
-            path.parent.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{key[:8]}.", suffix=".tmp", dir=str(path.parent)
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(wrap_entry(key, payload), handle, sort_keys=True)
-                    # fsync *before* rename: os.replace promises readers
-                    # never see a torn entry, but only a flushed temp
-                    # file makes the promise hold across a crash — an
-                    # unsynced rename can leave the final name pointing
-                    # at zero-length or partial data after power loss.
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(path, data.encode("utf-8"))
         except OSError:
             # A read-only or full disk demotes the cache to memory-only.
             pass
@@ -286,18 +251,17 @@ class CacheScrubReport:
         return "\n".join(lines)
 
 
-def _classify_entry(path: Path) -> str:
-    """The envelope verdict for one shard file ("ok" or a defect reason)."""
-    key = path.stem
+def _read_entry(path: Path) -> Tuple[Optional[Dict[str, Any]], str]:
+    """One shard file's payload and envelope verdict ("ok" or a defect)."""
     try:
-        with open(path, "r", encoding="utf-8") as handle:
-            document = json.load(handle)
+        document = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        return None, "missing"
     except OSError:
-        return "unreadable"
+        return None, "unreadable"
     except ValueError:
-        return "torn-or-corrupt-json"
-    _, verdict = open_entry(key, document)
-    return verdict
+        return None, "torn-or-corrupt-json"
+    return open_entry(path.stem, document)
 
 
 def _quarantine(root: Path, path: Path) -> bool:
@@ -347,7 +311,7 @@ def scrub_cache(
         for path in sorted(shard.glob("*.json")):
             report.scanned += 1
             sink.count("cache.scrub_scanned")
-            verdict = _classify_entry(path)
+            _, verdict = _read_entry(path)
             if verdict == "ok" and not path.stem.startswith(shard.name):
                 verdict = "misfiled-shard"
             if verdict == "ok":

@@ -23,7 +23,9 @@ import time
 import urllib.error
 import urllib.request
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Sequence, Tuple
+from typing import (
+    Any, Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple,
+)
 
 from ..errors import ServiceError
 from .stats import percentile
@@ -46,10 +48,21 @@ class ServiceClient:
         self.timeout_s = timeout_s
 
     def _get(self, path: str) -> Tuple[int, Dict[str, Any]]:
+        return self._fetch(self.url + path)
+
+    def _post(self, path: str, request: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
+        return self._fetch(
+            urllib.request.Request(
+                self.url + path,
+                data=json.dumps(request).encode("utf-8"),
+                headers={"Content-Type": "application/json"},
+                method="POST",
+            )
+        )
+
+    def _fetch(self, target: Any) -> Tuple[int, Dict[str, Any]]:
         try:
-            with urllib.request.urlopen(
-                self.url + path, timeout=self.timeout_s
-            ) as response:
+            with urllib.request.urlopen(target, timeout=self.timeout_s) as response:
                 return response.status, json.loads(response.read().decode("utf-8"))
         except urllib.error.HTTPError as exc:
             return exc.code, _body_of(exc)
@@ -57,20 +70,7 @@ class ServiceClient:
     def query(self, request: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
         """POST one query; returns ``(status, payload)``, raising only on
         transport (socket-level) failures."""
-        body = json.dumps(request).encode("utf-8")
-        http_request = urllib.request.Request(
-            self.url + "/v1/query",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(
-                http_request, timeout=self.timeout_s
-            ) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            return exc.code, _body_of(exc)
+        return self._post("/v1/query", request)
 
     def health(self) -> Tuple[int, Dict[str, Any]]:
         return self._get("/v1/health")
@@ -82,20 +82,7 @@ class ServiceClient:
         self, request: Dict[str, Any]
     ) -> Tuple[int, Dict[str, Any]]:
         """POST a scenario campaign (``{"pack": name}`` or inline doc)."""
-        body = json.dumps(request).encode("utf-8")
-        http_request = urllib.request.Request(
-            self.url + "/v1/scenario",
-            data=body,
-            headers={"Content-Type": "application/json"},
-            method="POST",
-        )
-        try:
-            with urllib.request.urlopen(
-                http_request, timeout=self.timeout_s
-            ) as response:
-                return response.status, json.loads(response.read().decode("utf-8"))
-        except urllib.error.HTTPError as exc:
-            return exc.code, _body_of(exc)
+        return self._post("/v1/scenario", request)
 
     def stream(
         self, campaign_id: str, after: int = 0
@@ -145,40 +132,73 @@ class ServiceClient:
         non-200 submission (a malformed scenario never resolves itself)
         or when the reconnect budget is exhausted.
         """
-        last_seen = int(after)
-        failures = 0
-        while True:
+        campaign_id: Optional[str] = None
+
+        def attach(last_seen: int) -> Iterator[Dict[str, Any]]:
+            nonlocal campaign_id
             campaign_id = None
-            try:
-                status, payload = self.submit_scenario(request)
-                if status != 200:
-                    raise ServiceError(
-                        f"scenario submission failed ({status}): "
-                        f"{payload.get('error', payload)}"
-                    )
-                campaign_id = payload["campaign_id"]
-                for event in self.stream(campaign_id, after=last_seen):
-                    seq = event.get("seq")
-                    if isinstance(seq, int):
-                        if seq <= last_seen:
-                            continue  # duplicate from an overlapping replay
-                        last_seen = seq
-                    failures = 0
-                    yield event
-                    if event.get("kind") in TERMINAL_KINDS:
-                        return
-                # Stream closed without a terminal event: the server is
-                # draining or the subscriber idled out — reconnect.
-            except STREAM_TRANSPORT_ERRORS:
-                pass
-            failures += 1
-            if failures > max_reconnects:
-                what = campaign_id if campaign_id is not None else "scenario"
-                raise ServiceError(
-                    f"stream for {what!r} lost after "
-                    f"{max_reconnects} reconnects"
-                )
-            sleep(reconnect_delay_s)
+            campaign_id = submitted_campaign(*self.submit_scenario(request))
+            return self.stream(campaign_id, after=last_seen)
+
+        def lost() -> str:
+            what = campaign_id if campaign_id is not None else "scenario"
+            return f"stream for {what!r} lost after {max_reconnects} reconnects"
+
+        return follow_campaign(
+            attach, after, max_reconnects, reconnect_delay_s, sleep, lost
+        )
+
+
+def submitted_campaign(status: int, payload: Dict[str, Any]) -> str:
+    """The campaign id of a scenario submission answer; raises on non-200."""
+    if status != 200:
+        raise ServiceError(
+            f"scenario submission failed ({status}): "
+            f"{payload.get('error', payload)}"
+        )
+    return payload["campaign_id"]
+
+
+def follow_campaign(
+    attach: Callable[[int], Iterable[Dict[str, Any]]],
+    after: int,
+    max_reconnects: int,
+    reconnect_delay_s: float,
+    sleep: Callable[[float], None],
+    lost: Callable[[], str],
+) -> Iterator[Dict[str, Any]]:
+    """The reconnect loop behind every ``resume_scenario``.
+
+    ``attach(last_seen)`` (re-)submits the scenario somewhere and returns
+    its event stream from ``?after=last_seen``.  Events are deduplicated
+    by sequence number and the loop ends after the terminal event.  A
+    stream that ends early or a transport error costs one reconnect from
+    the budget (any yielded event refills it), then ``sleep`` for
+    *reconnect_delay_s*; past *max_reconnects* the loop raises
+    :class:`~repro.errors.ServiceError` with the message ``lost()``.
+    """
+    last_seen = int(after)
+    failures = 0
+    while True:
+        try:
+            for event in attach(last_seen):
+                seq = event.get("seq")
+                if isinstance(seq, int):
+                    if seq <= last_seen:
+                        continue  # duplicate from an overlapping replay
+                    last_seen = seq
+                failures = 0
+                yield event
+                if event.get("kind") in TERMINAL_KINDS:
+                    return
+            # Stream closed without a terminal event: the server is
+            # draining or the subscriber idled out — reconnect.
+        except STREAM_TRANSPORT_ERRORS:
+            pass
+        failures += 1
+        if failures > max_reconnects:
+            raise ServiceError(lost())
+        sleep(reconnect_delay_s)
 
 
 def _body_of(exc: urllib.error.HTTPError) -> Dict[str, Any]:

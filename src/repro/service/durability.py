@@ -14,16 +14,17 @@ one checkpoint directory::
             <id>.manifest.json            # write-ahead campaign intent
             <id>.events.jsonl             # the hub's ordered event log
 
-Three durability rules, mirroring the journal's:
+Three durability rules, on the write and read discipline of
+:mod:`repro.durable` that the cell journal shares:
 
 * **Write-ahead manifest** — the manifest (scenario fingerprint, full
   canonical document, grid size, execution mode) is written atomically
   *before* the first cell runs, so a crash at any instant leaves either
   no campaign or a resumable one, never a half-registered one.
-* **Durable-before-visible events** — an event is appended, flushed and
-  fsynced to ``<id>.events.jsonl`` before subscribers see it, so a
-  reconnecting client's ``?after=N`` cursor always refers to state that
-  survives a crash.
+* **Durable-before-visible events** — an event is appended and fsynced
+  to ``<id>.events.jsonl`` before subscribers see it, so a reconnecting
+  client's ``?after=N`` cursor always refers to state that survives a
+  crash.
 * **Tolerant, prefix-exact reads** — each event line carries a checksum
   and a 1-based sequence number; :meth:`CampaignStore.load_events`
   returns the longest intact *gapless prefix* and discards everything
@@ -46,19 +47,18 @@ resume path needs.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
-import tempfile
 import time
 from pathlib import Path
-from typing import IO, Any, Dict, List, Optional, Union
+from typing import IO, Any, Dict, List, Optional, Tuple, Union
 
 try:  # pragma: no cover - absent only on non-POSIX platforms
     import fcntl
 except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
+from ..durable import AppendLog, atomic_write, checksum, rewrite, scan
 from ..obs.registry import DISABLED
 
 #: Version of the manifest document and the event record envelope.
@@ -91,37 +91,7 @@ def campaign_key(fingerprint: str, execution: str = "exact") -> str:
     reason it participates in cell fingerprints: exact and fast runs of
     one scenario are different campaigns.
     """
-    canon = json.dumps(
-        {"execution": execution, "fingerprint": fingerprint},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return "c" + hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-
-def _terminate_torn_tail(handle: Any) -> None:
-    """Newline-terminate an append handle whose file ends mid-line.
-
-    A crash mid-append can leave a torn tail with no newline; appending
-    straight after it would glue the next record onto the torn bytes and
-    lose both.  Terminating the tail turns the torn bytes into their own
-    (skipped, GC-able) line so every later append stays intact.
-    """
-    handle.seek(0, os.SEEK_END)
-    if handle.tell() == 0:
-        return
-    handle.seek(-1, os.SEEK_END)
-    if handle.read(1) != b"\n":
-        handle.write(b"\n")
-
-
-def _event_checksum(seq: int, kind: str, data: Dict[str, Any]) -> str:
-    canon = json.dumps(
-        {"data": data, "kind": kind, "seq": seq},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canon.encode("utf-8")).hexdigest()
+    return "c" + checksum({"execution": execution, "fingerprint": fingerprint})[:16]
 
 
 class CampaignStore:
@@ -130,7 +100,7 @@ class CampaignStore:
     def __init__(self, directory: Union[str, Path]):
         self.directory = Path(directory)
         self.campaigns_dir = self.directory / CAMPAIGNS_DIR
-        self._handles: Dict[str, IO[bytes]] = {}
+        self._logs: Dict[str, AppendLog] = {}
         self._leases: Dict[str, IO[bytes]] = {}
 
     # -- manifests -----------------------------------------------------------
@@ -191,26 +161,10 @@ class CampaignStore:
         self, campaign_id: str, manifest: Dict[str, Any]
     ) -> bool:
         """Atomically persist campaign intent; False on an unwritable disk."""
-        document = {"v": MANIFEST_VERSION, "campaign_id": campaign_id}
-        document.update(manifest)
+        document = {"v": MANIFEST_VERSION, "campaign_id": campaign_id, **manifest}
+        data = json.dumps(document, sort_keys=True).encode("utf-8")
         try:
-            self.campaigns_dir.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{campaign_id}.", suffix=".tmp",
-                dir=str(self.campaigns_dir),
-            )
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(document, handle, sort_keys=True)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.manifest_path(campaign_id))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            atomic_write(self.manifest_path(campaign_id), data)
         except OSError:
             return False
         return True
@@ -259,24 +213,28 @@ class CampaignStore:
     def append_event(self, campaign_id: str, event: Dict[str, Any]) -> bool:
         """Durably append one hub event; False on an unwritable disk.
 
-        The record is flushed and fsynced before this returns — the
-        durable-before-visible half of the reconnect contract.
+        The record is fsynced before this returns — the
+        durable-before-visible half of the reconnect contract.  A
+        refused record leaves nothing on disk, so the hub may reuse its
+        sequence number for the terminal error it publishes instead.
         """
-        record = event_record(event)
-        line = json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
-        try:
-            handle = self._handles.get(campaign_id)
-            if handle is None:
-                self.campaigns_dir.mkdir(parents=True, exist_ok=True)
-                handle = open(self.events_path(campaign_id), "a+b")
-                _terminate_torn_tail(handle)
-                self._handles[campaign_id] = handle
-            handle.write(line.encode("utf-8"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        except OSError:
-            return False
-        return True
+        log = self._logs.get(campaign_id)
+        if log is None:
+            log = self._logs[campaign_id] = AppendLog(self.events_path(campaign_id))
+        return log.append(event_record(event))
+
+    def _read_log(
+        self, campaign_id: str
+    ) -> Tuple[int, List[Tuple[bytes, Dict[str, Any]]]]:
+        """Non-blank line count and the intact gapless prefix as
+        ``(line, event)`` pairs; raises :class:`OSError` if unreadable."""
+        entries = scan(self.events_path(campaign_id), _decode_event)
+        prefix: List[Tuple[bytes, Dict[str, Any]]] = []
+        for line, event in entries:
+            if event is None or event["seq"] != len(prefix) + 1:
+                break
+            prefix.append((line, event))
+        return len(entries), prefix
 
     def load_events(self, campaign_id: str) -> List[Dict[str, Any]]:
         """The longest intact gapless event prefix for *campaign_id*.
@@ -287,18 +245,10 @@ class CampaignStore:
         recomputable from the cell journal and must not be trusted.
         """
         try:
-            raw = self.events_path(campaign_id).read_bytes()
-        except (FileNotFoundError, OSError):
+            _, prefix = self._read_log(campaign_id)
+        except OSError:
             return []
-        events: List[Dict[str, Any]] = []
-        for line in raw.splitlines():
-            if not line.strip():
-                continue
-            record = _intact_event(line)
-            if record is None or record["seq"] != len(events) + 1:
-                break
-            events.append(record)
-        return events
+        return [event for _, event in prefix]
 
     def repair_log(self, campaign_id: str) -> List[Dict[str, Any]]:
         """Truncate one event log to its intact gapless prefix.
@@ -309,56 +259,33 @@ class CampaignStore:
         left behind must go — appending after a corrupt line would put
         every later event beyond the readable prefix.  The caller must
         own the campaign's lease (or be single-process); the rewrite is
-        atomic and fsynced like the manifest writer's.
+        atomic.
         """
-        intact = self.load_events(campaign_id)
+        return self._repair(campaign_id)[0]
+
+    def _repair(self, campaign_id: str) -> Tuple[List[Dict[str, Any]], bool]:
+        """:meth:`repair_log`, plus whether the log now holds just the prefix."""
         try:
-            raw = self.events_path(campaign_id).read_bytes()
-        except FileNotFoundError:
-            return intact
+            lines, prefix = self._read_log(campaign_id)
         except OSError:
-            return intact
-        raw_lines = [line for line in raw.splitlines() if line.strip()]
-        if len(raw_lines) == len(intact):
-            return intact
+            return [], False
+        events = [event for _, event in prefix]
+        if lines == len(prefix):
+            return events, True
         self.close(campaign_id)
-        content = b"".join(
-            json.dumps(
-                event_record(event), sort_keys=True, separators=(",", ":")
-            ).encode("utf-8") + b"\n"
-            for event in intact
-        )
         try:
-            fd, tmp = tempfile.mkstemp(
-                prefix=f".{campaign_id}.", suffix=".tmp",
-                dir=str(self.campaigns_dir),
-            )
-            try:
-                with os.fdopen(fd, "wb") as handle:
-                    handle.write(content)
-                    handle.flush()
-                    os.fsync(handle.fileno())
-                os.replace(tmp, self.events_path(campaign_id))
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            rewrite(self.events_path(campaign_id), [line for line, _ in prefix])
         except OSError:
-            pass
-        return intact
+            return events, False
+        return events, True
 
     def close(self, campaign_id: Optional[str] = None) -> None:
         """Close append handles (one campaign, or all); idempotent."""
-        ids = [campaign_id] if campaign_id is not None else list(self._handles)
+        ids = [campaign_id] if campaign_id is not None else list(self._logs)
         for cid in ids:
-            handle = self._handles.pop(cid, None)
-            if handle is not None:
-                try:
-                    handle.close()
-                except OSError:
-                    pass
+            log = self._logs.pop(cid, None)
+            if log is not None:
+                log.close()
 
     # -- integrity -----------------------------------------------------------
     def scrub(self, repair: bool = False, obs: Any = None) -> Dict[str, Any]:
@@ -393,6 +320,10 @@ class CampaignStore:
         }
         if not self.campaigns_dir.is_dir():
             return report
+
+        def problem(path: Path, reason: str) -> None:
+            report["problems"].append({"path": str(path), "reason": reason})
+
         for path in sorted(self.campaigns_dir.glob(f"*{_MANIFEST_SUFFIX}")):
             campaign_id = path.name[: -len(_MANIFEST_SUFFIX)]
             report["manifests"] += 1
@@ -400,9 +331,7 @@ class CampaignStore:
             if self.load_manifest(campaign_id) is None:
                 report["manifests_corrupt"] += 1
                 sink.count("cache.scrub_manifest_corrupt")
-                report["problems"].append(
-                    {"path": str(path), "reason": "corrupt-manifest"}
-                )
+                problem(path, "corrupt-manifest")
                 if repair:
                     try:
                         os.replace(path, path.with_suffix(".corrupt"))
@@ -412,50 +341,27 @@ class CampaignStore:
             campaign_id = path.name[: -len(_EVENTS_SUFFIX)]
             report["event_logs"] += 1
             try:
-                raw = path.read_bytes()
+                lines, prefix = self._read_log(campaign_id)
             except OSError as exc:
-                report["problems"].append(
-                    {
-                        "path": str(path),
-                        "reason": f"unreadable:{type(exc).__name__}",
-                    }
-                )
+                problem(path, f"unreadable:{type(exc).__name__}")
                 continue
-            raw_lines = [line for line in raw.splitlines() if line.strip()]
-            intact = self.load_events(campaign_id)
-            report["events"] += len(raw_lines)
-            for _ in raw_lines:
+            report["events"] += lines
+            for _ in range(lines):
                 sink.count("cache.scrub_events")
-            corrupt = len(raw_lines) - len(intact)
+            corrupt = lines - len(prefix)
             if not corrupt:
                 continue
             report["events_corrupt"] += corrupt
             sink.count("cache.scrub_event_corrupt", corrupt)
-            report["problems"].append(
-                {
-                    "path": str(path),
-                    "reason": f"torn-suffix:{corrupt}-records",
-                }
-            )
+            problem(path, f"torn-suffix:{corrupt}-records")
             if not repair:
                 continue
             owned = self.owns_lease(campaign_id)
             if not owned and not self.acquire_lease(campaign_id):
-                report["problems"].append(
-                    {"path": str(path), "reason": "repair-skipped:lease-held"}
-                )
+                problem(path, "repair-skipped:lease-held")
                 continue
             try:
-                repaired = self.repair_log(campaign_id)
-                try:
-                    still = [
-                        line
-                        for line in path.read_bytes().splitlines()
-                        if line.strip()
-                    ]
-                except OSError:
-                    still = None
-                if still is not None and len(still) == len(repaired):
+                if self._repair(campaign_id)[1]:
                     report["logs_truncated"] += 1
                     sink.count("cache.scrub_events_truncated")
             finally:
@@ -533,30 +439,18 @@ class CampaignStore:
 
 def event_record(event: Dict[str, Any]) -> Dict[str, Any]:
     """The on-disk record for one in-memory hub event."""
-    return {
-        "v": EVENT_VERSION,
-        "seq": int(event["seq"]),
-        "kind": event["kind"],
-        "data": event["data"],
-        "sha": _event_checksum(int(event["seq"]), event["kind"], event["data"]),
-    }
+    fields = {"seq": int(event["seq"]), "kind": event["kind"], "data": event["data"]}
+    return {"v": EVENT_VERSION, "sha": checksum(fields), **fields}
 
 
-def _intact_event(line: bytes) -> Optional[Dict[str, Any]]:
-    """Decode one event line, or ``None`` if torn/corrupt/alien."""
-    try:
-        record = json.loads(line.decode("utf-8"))
-    except (ValueError, UnicodeDecodeError):
-        return None
-    if not isinstance(record, dict) or record.get("v") != EVENT_VERSION:
-        return None
+def _decode_event(record: Dict[str, Any]) -> Optional[Dict[str, Any]]:
+    """The hub event of one intact record, or ``None`` if corrupt/alien."""
     seq = record.get("seq")
     kind = record.get("kind")
     data = record.get("data")
-    if not isinstance(seq, int) or not isinstance(kind, str):
+    if record.get("v") != EVENT_VERSION or not isinstance(seq, int):
         return None
-    if not isinstance(data, dict):
+    if not isinstance(kind, str) or not isinstance(data, dict):
         return None
-    if record.get("sha") != _event_checksum(seq, kind, data):
-        return None
-    return {"seq": seq, "kind": kind, "data": data}
+    event = {"seq": seq, "kind": kind, "data": data}
+    return event if record.get("sha") == checksum(event) else None

@@ -38,12 +38,11 @@ import http.client
 import random
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from ..errors import ConfigurationError, ServiceError
 from ..obs.registry import Registry, current
-from .client import SendFn, ServiceClient
-from .stream import TERMINAL_KINDS
+from .client import SendFn, ServiceClient, follow_campaign, submitted_campaign
 from .retry import (
     TRANSPORT_ERRORS,
     CircuitBreaker,
@@ -238,6 +237,13 @@ class FleetClient:
         fingerprint).  Raises the last transport error if every replica
         refused.
         """
+        _, status, payload = self._submit_scenario(request)
+        return status, payload
+
+    def _submit_scenario(
+        self, request: Dict[str, Any]
+    ) -> Tuple[_Target, int, Dict[str, Any]]:
+        """:meth:`submit_scenario`, plus the replica that answered."""
         obs = self._registry()
         last_error: Optional[BaseException] = None
         for target in self._ring():
@@ -256,7 +262,7 @@ class FleetClient:
                 last_error = exc
                 continue
             target.breaker.record_success()
-            return status, payload
+            return target, status, payload
         if last_error is not None:
             raise last_error
         raise CircuitOpenError(
@@ -269,67 +275,50 @@ class FleetClient:
         after: int = 0,
         max_reconnects: int = 16,
         reconnect_delay_s: float = 0.5,
-    ) -> "Any":
+    ) -> Iterator[Dict[str, Any]]:
         """Stream a scenario campaign to completion across replica deaths.
 
-        The fleet edition of :meth:`ServiceClient.resume_scenario`: each
-        (re)attachment walks the ring for a healthy replica, re-submits
-        the scenario there (idempotent under a shared checkpoint dir —
-        any replica can resume any campaign), and follows the stream
-        from the last yielded event.  A replica dying mid-stream costs
-        one reconnect and one ``fleet.scenario_failovers`` count; the
-        merged sequence stays gapless and duplicate-free.  Raises
+        The fleet edition of :meth:`ServiceClient.resume_scenario`, on
+        the same reconnect loop (:func:`~repro.service.client.
+        follow_campaign`): each (re)attachment walks the ring for a
+        healthy replica, re-submits the scenario there (idempotent under
+        a shared checkpoint dir — any replica can resume any campaign),
+        and follows the stream from the last yielded event.  A replica
+        dying mid-stream costs one reconnect and one
+        ``fleet.scenario_failovers`` count; the merged sequence stays
+        gapless and duplicate-free.  Raises
         :class:`~repro.errors.ServiceError` on a non-200 submission or
         an exhausted reconnect budget.
         """
-        obs = self._registry()
-        last_seen = int(after)
-        failures = 0
-        while True:
-            streamed_from: Optional[str] = None
-            for target in self._ring():
-                if not target.breaker.allow():
-                    continue
-                client = self._scenario_client(target.url)
-                self.attempts += 1
-                obs.count("fleet.attempts")
-                try:
-                    status, payload = client.submit_scenario(request)
-                except FLEET_TRANSPORT_ERRORS:
-                    target.breaker.record_failure()
-                    self.failovers += 1
-                    obs.count("fleet.failovers")
-                    continue
-                target.breaker.record_success()
-                if status != 200:
-                    raise ServiceError(
-                        f"scenario submission failed ({status}): "
-                        f"{payload.get('error', payload)}"
-                    )
-                streamed_from = target.url
-                try:
-                    for event in client.stream(
-                        payload["campaign_id"], after=last_seen
-                    ):
-                        seq = event.get("seq")
-                        if isinstance(seq, int):
-                            if seq <= last_seen:
-                                continue
-                            last_seen = seq
-                        failures = 0
-                        yield event
-                        if event.get("kind") in TERMINAL_KINDS:
-                            return
-                except FLEET_TRANSPORT_ERRORS:
-                    target.breaker.record_failure()
-                    obs.count("fleet.scenario_failovers")
-                break  # stream dropped: re-attach through a fresh ring
-            failures += 1
-            if failures > max_reconnects:
-                raise ServiceError(
-                    f"campaign stream lost after {max_reconnects} "
-                    f"reconnects (last replica: {streamed_from})"
+        streamed_from: Optional[str] = None
+
+        def attach(last_seen: int) -> Iterator[Dict[str, Any]]:
+            nonlocal streamed_from
+            streamed_from = None
+            try:
+                target, status, payload = self._submit_scenario(request)
+            except CircuitOpenError:
+                return  # no replica to try: spend a reconnect and wait
+            campaign_id = submitted_campaign(status, payload)
+            streamed_from = target.url
+            try:
+                yield from self._scenario_client(target.url).stream(
+                    campaign_id, after=last_seen
                 )
-            delay = reconnect_delay_s
+            except FLEET_TRANSPORT_ERRORS:
+                target.breaker.record_failure()
+                self._registry().count("fleet.scenario_failovers")
+
+        def pause(delay: float) -> None:
             self.slept_s += delay
             self._sleep(delay)
+
+        def lost() -> str:
+            return (
+                f"campaign stream lost after {max_reconnects} "
+                f"reconnects (last replica: {streamed_from})"
+            )
+
+        return follow_campaign(
+            attach, after, max_reconnects, reconnect_delay_s, pause, lost
+        )

@@ -232,10 +232,7 @@ class ScheduleService:
             campaign_id=campaign_id, stream=f"/v1/stream/{campaign_id}"
         )
         with self._campaign_lock:
-            try:
-                snapshot = self.campaigns.snapshot(campaign_id)
-            except KeyError:
-                snapshot = None
+            snapshot = self._snapshot(campaign_id)
             if snapshot is not None and snapshot["state"] in TERMINAL_KINDS:
                 # Finished: the event log *is* the answer, idempotently.
                 payload.update(
@@ -259,12 +256,7 @@ class ScheduleService:
             # later event beyond the readable prefix) and fold the
             # durable tail into our possibly-stale fast copy so new seq
             # numbers continue the on-disk log, not our replay of it.
-            store.repair_log(campaign_id)
-            self.campaigns.refresh(campaign_id)
-            try:
-                snapshot = self.campaigns.snapshot(campaign_id)
-            except KeyError:
-                snapshot = None
+            snapshot = self._adopt(store, campaign_id)
             if snapshot is not None and snapshot["state"] in TERMINAL_KINDS:
                 # The previous owner had in fact finished it.
                 store.release_lease(campaign_id)
@@ -293,6 +285,21 @@ class ScheduleService:
         self._launch_campaign(scenario, jobs, execution, campaign_id)
         payload.update(state="running", resumed=resumed)
         return payload
+
+    def _snapshot(self, campaign_id: str) -> Optional[Dict[str, Any]]:
+        """The hub's snapshot of *campaign_id*, or ``None`` if unknown."""
+        try:
+            return self.campaigns.snapshot(campaign_id)
+        except KeyError:
+            return None
+
+    def _adopt(
+        self, store: CampaignStore, campaign_id: str
+    ) -> Optional[Dict[str, Any]]:
+        """Repair a just-leased campaign's log and re-sync the fast copy."""
+        store.repair_log(campaign_id)
+        self.campaigns.refresh(campaign_id)
+        return self._snapshot(campaign_id)
 
     def _launch_campaign(
         self, scenario: Any, jobs: int, execution: str, campaign_id: str
@@ -359,12 +366,10 @@ class ScheduleService:
         resumed = []
         for campaign_id, manifest in store.list_manifests().items():
             with self._campaign_lock:
-                try:
-                    snapshot = self.campaigns.snapshot(campaign_id)
-                except KeyError:
-                    continue
+                snapshot = self._snapshot(campaign_id)
                 if (
-                    snapshot["state"] in TERMINAL_KINDS
+                    snapshot is None
+                    or snapshot["state"] in TERMINAL_KINDS
                     or campaign_id in self._active_campaigns
                 ):
                     continue
@@ -377,12 +382,7 @@ class ScheduleService:
                 # tail before appending, re-sync the fast copy, and
                 # re-check — the durable tail may contain the terminal
                 # event our startup replay predated.
-                store.repair_log(campaign_id)
-                self.campaigns.refresh(campaign_id)
-                try:
-                    snapshot = self.campaigns.snapshot(campaign_id)
-                except KeyError:
-                    snapshot = None
+                snapshot = self._adopt(store, campaign_id)
                 if (
                     snapshot is None
                     or snapshot["state"] in TERMINAL_KINDS

@@ -103,6 +103,14 @@ class _Campaign:
     def done(self) -> bool:
         return self.state != "running"
 
+    def snapshot(self) -> Dict[str, Any]:
+        return {
+            "campaign_id": self.id,
+            "state": self.state,
+            "events": len(self.events),
+            "meta": dict(self.meta),
+        }
+
     def append(self, kind: str, data: Dict[str, Any]) -> Dict[str, Any]:
         seq = len(self.events) + 1
         event = {"seq": seq, "kind": kind, "data": dict(data)}
@@ -184,13 +192,7 @@ class CampaignHub:
             with self._lock:
                 if campaign_id in self._campaigns:
                     continue
-                meta = manifest.get("meta")
-                campaign = _Campaign(
-                    campaign_id,
-                    dict(meta) if isinstance(meta, dict) else {},
-                )
-                for event in self._store.load_events(campaign_id):
-                    campaign.append(event["kind"], event["data"])
+                campaign = self._replay(campaign_id, manifest)
                 if campaign.done and self._finished_ttl_s is not None:
                     # A finished campaign already past the in-memory TTL
                     # would be evicted on the next reap anyway; leave it
@@ -321,26 +323,12 @@ class CampaignHub:
     def snapshot(self, campaign_id: str) -> Dict[str, Any]:
         """Current state of one campaign (meta + progress), JSON-ready."""
         with self._lock:
-            campaign = self._require(campaign_id)
-            return {
-                "campaign_id": campaign.id,
-                "state": campaign.state,
-                "events": len(campaign.events),
-                "meta": dict(campaign.meta),
-            }
+            return self._require(campaign_id).snapshot()
 
     def list(self) -> List[Dict[str, Any]]:
         """Snapshots of every known campaign, oldest first."""
         with self._lock:
-            return [
-                {
-                    "campaign_id": campaign.id,
-                    "state": campaign.state,
-                    "events": len(campaign.events),
-                    "meta": dict(campaign.meta),
-                }
-                for campaign in self._campaigns.values()
-            ]
+            return [campaign.snapshot() for campaign in self._campaigns.values()]
 
     def events_since(
         self, campaign_id: str, after: int = 0
@@ -417,13 +405,7 @@ class CampaignHub:
             # the campaign from its manifest + event log transparently.
             manifest = self._store.load_manifest(campaign_id)
             if manifest is not None:
-                meta = manifest.get("meta")
-                campaign = _Campaign(
-                    campaign_id,
-                    dict(meta) if isinstance(meta, dict) else {},
-                )
-                for event in self._store.load_events(campaign_id):
-                    campaign.append(event["kind"], event["data"])
+                campaign = self._replay(campaign_id, manifest)
                 self._campaigns[campaign_id] = campaign
                 self._evicted.pop(campaign_id, None)
                 self._obs.count("stream.campaigns_reloaded")
@@ -431,6 +413,14 @@ class CampaignHub:
         if campaign_id in self._evicted:
             raise CampaignEvicted(campaign_id, dict(self._evicted[campaign_id]))
         raise KeyError(campaign_id)
+
+    def _replay(self, campaign_id: str, manifest: Dict[str, Any]) -> _Campaign:
+        """Rebuild one campaign from its manifest and durable event log."""
+        meta = manifest.get("meta")
+        campaign = _Campaign(campaign_id, dict(meta) if isinstance(meta, dict) else {})
+        for event in self._store.load_events(campaign_id):
+            campaign.append(event["kind"], event["data"])
+        return campaign
 
     def _evict_finished(self) -> None:
         """Apply both retention bounds; callers hold the lock."""
