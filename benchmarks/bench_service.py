@@ -115,7 +115,7 @@ def test_batched_broker_vs_sequential_dispatch(artifact, metrics_out):
     service = ScheduleService(jobs=1)
     try:
         report = run_closed_loop(broker_send(service), requests, concurrency=8)
-        counters = service.stats.snapshot()
+        counters = service.obs.snapshot()["counters"]
     finally:
         service.close()
 
@@ -164,7 +164,7 @@ def test_open_loop_zero_drops_under_admission_control(artifact, metrics_out):
         send = broker_send(service)
         requests = sweep_requests()
         report = run_open_loop(send, requests, rate_rps=150.0, workers=16)
-        counters = service.stats.snapshot()
+        counters = service.obs.snapshot()["counters"]
     finally:
         service.close()
 

@@ -302,17 +302,6 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-@dataclass
-class _CampaignStats:
-    """Supervisor-side counters for one :func:`run_many` campaign."""
-
-    pool_rebuilds: int = 0
-    cell_retries: int = 0
-    cell_failures: int = 0
-    checkpoint_hits: int = 0
-    checkpoint_stored: int = 0
-
-
 class _PoolUnavailable(Exception):
     """Internal: process pooling does not work here; run serially."""
 
@@ -323,7 +312,6 @@ def _commit_result(
     result: Union[SimulationResult, CellFailure],
     journal: Optional[CheckpointJournal],
     fingerprints: Optional[List[Optional[str]]],
-    stats: _CampaignStats,
     progress: Optional[Callable[[int, Any], None]] = None,
 ) -> None:
     """Store one finished cell and journal it if checkpointing is on.
@@ -332,15 +320,16 @@ def _commit_result(
     so the durable blob is the pristine result; only successful cells
     are journaled — failures must recompute on resume.  *progress*, when
     given, observes every commit — it runs supervisor-side (never in a
-    worker process), after the result is durable.
+    worker process), after the result is durable.  Failures and journal
+    writes are counted into the installed obs registry as they commit.
     """
     if isinstance(result, CellFailure):
         result.index = index
-        stats.cell_failures += 1
+        current().count("runner.cell_failures")
     elif journal is not None and fingerprints is not None:
         fp = fingerprints[index]
         if fp is not None and journal.record(fp, result):
-            stats.checkpoint_stored += 1
+            current().count("runner.checkpoint_stored")
             result.metadata["checkpoint"] = "stored"
     results[index] = result
     if progress is not None:
@@ -354,7 +343,6 @@ def _run_serial(
     failures: str,
     journal: Optional[CheckpointJournal],
     fingerprints: Optional[List[Optional[str]]],
-    stats: _CampaignStats,
     progress: Optional[Callable[[int, Any], None]] = None,
 ) -> None:
     """In-process execution of *indices*, committing each as it lands."""
@@ -365,7 +353,7 @@ def _run_serial(
                 result.attempts = 1
         else:
             result = _run_spec(spec_list[i])
-        _commit_result(results, i, result, journal, fingerprints, stats, progress)
+        _commit_result(results, i, result, journal, fingerprints, progress)
 
 
 def _pool_generation(
@@ -376,7 +364,6 @@ def _pool_generation(
     results: List[Any],
     journal: Optional[CheckpointJournal],
     fingerprints: Optional[List[Optional[str]]],
-    stats: _CampaignStats,
     progress: Optional[Callable[[int, Any], None]] = None,
     chunk: int = 1,
 ) -> Tuple[bool, List[int], List[int]]:
@@ -422,8 +409,7 @@ def _pool_generation(
                 if exc is None:
                     for i, cell in zip(group, future.result()):
                         _commit_result(
-                            results, i, cell, journal, fingerprints,
-                            stats, progress,
+                            results, i, cell, journal, fingerprints, progress
                         )
                 elif isinstance(exc, BrokenProcessPool):
                     # Any cell in the dead worker's batch could be the
@@ -445,8 +431,7 @@ def _pool_generation(
                 if future.exception() is None and not future.cancelled():
                     for i, cell in zip(group, future.result()):
                         _commit_result(
-                            results, i, cell, journal, fingerprints,
-                            stats, progress,
+                            results, i, cell, journal, fingerprints, progress
                         )
                 else:
                     suspects.extend(group)
@@ -464,7 +449,6 @@ def _run_pool_supervised(
     results: List[Any],
     journal: Optional[CheckpointJournal],
     fingerprints: Optional[List[Optional[str]]],
-    stats: _CampaignStats,
     progress: Optional[Callable[[int, Any], None]] = None,
     chunk: int = 1,
 ) -> None:
@@ -480,6 +464,7 @@ def _run_pool_supervised(
     batch regardless of *chunk* — attribution needs isolation.
     """
     attempts: Dict[int, int] = {i: 0 for i in indices}
+    rebuilds = 0
     pending: List[int] = list(indices)
     quarantine: "deque[int]" = deque()
     completed_any = False
@@ -494,7 +479,7 @@ def _run_pool_supervised(
             batch_chunk = chunk
         broken, suspects, leftover = _pool_generation(
             spec_list, batch, width, failures, results, journal,
-            fingerprints, stats, progress, batch_chunk,
+            fingerprints, progress, batch_chunk,
         )
         pending.extend(leftover)
         completed_any = completed_any or any(
@@ -502,17 +487,18 @@ def _run_pool_supervised(
         )
         if not broken:
             continue
-        if failures == "raise" and not completed_any and stats.pool_rebuilds == 0:
+        if failures == "raise" and not completed_any and rebuilds == 0:
             # The very first pool died before finishing a single cell:
             # indistinguishable from an environment where process
             # pooling simply does not work, so preserve the historical
             # serial fallback instead of burning retry budgets.
             raise _PoolUnavailable()
-        stats.pool_rebuilds += 1
+        rebuilds += 1
+        current().count("runner.pool_rebuilds")
         for i in suspects:
             attempts[i] += 1
             if attempts[i] <= retries:
-                stats.cell_retries += 1
+                current().count("runner.cell_retries")
                 quarantine.append(i)
             elif failures == "contain":
                 _commit_result(
@@ -521,7 +507,6 @@ def _run_pool_supervised(
                     CellFailure.from_worker_loss(spec_list[i], i, attempts[i]),
                     journal,
                     fingerprints,
-                    stats,
                     progress,
                 )
             else:
@@ -612,7 +597,6 @@ def run_many(
     resolved_chunk = 1 if chunk is None else chunk
     resolved = min(resolve_jobs(jobs), os.cpu_count() or 1)
     t0 = perf_counter()
-    stats = _CampaignStats()
     results: List[Any] = [None] * len(spec_list)
     journal: Optional[CheckpointJournal] = None
     fingerprints: Optional[List[Optional[str]]] = None
@@ -628,7 +612,7 @@ def run_many(
             if hit is not None:
                 hit.metadata["checkpoint"] = "hit"
                 results[i] = hit
-                stats.checkpoint_hits += 1
+                current().count("runner.checkpoint_hits")
                 if progress is not None:
                     progress(i, hit)
             else:
@@ -639,7 +623,7 @@ def run_many(
             executor, workers = "serial", 1
             _run_serial(
                 spec_list, pending, results, failures, journal,
-                fingerprints, stats, progress,
+                fingerprints, progress,
             )
         else:
             try:
@@ -651,14 +635,14 @@ def run_many(
                 executor, workers = "serial-fallback-unpicklable", 1
                 _run_serial(
                     spec_list, pending, results, failures, journal,
-                    fingerprints, stats, progress,
+                    fingerprints, progress,
                 )
             else:
                 workers = min(resolved, len(pending))
                 try:
                     _run_pool_supervised(
                         spec_list, pending, workers, failures, retries,
-                        results, journal, fingerprints, stats, progress,
+                        results, journal, fingerprints, progress,
                         resolved_chunk,
                     )
                     executor = "process-pool"
@@ -668,13 +652,13 @@ def run_many(
                     executor, workers = "serial-fallback-broken-pool", 1
                     _run_serial(
                         spec_list, pending, results, failures, journal,
-                        fingerprints, stats, progress,
+                        fingerprints, progress,
                     )
     finally:
         if journal is not None:
             journal.close()
     _annotate_campaign(
-        results, jobs, resolved, workers, executor, perf_counter() - t0, stats,
+        results, jobs, resolved, workers, executor, perf_counter() - t0,
         chunk=resolved_chunk,
     )
     return results
@@ -687,7 +671,6 @@ def _annotate_campaign(
     workers: int,
     executor: str,
     wall_s: float,
-    stats: Optional[_CampaignStats] = None,
     chunk: int = 1,
 ) -> None:
     """Stamp execution provenance on *results* and gauge it into obs."""
@@ -709,16 +692,6 @@ def _annotate_campaign(
     obs.gauge("runner.resolved_jobs", float(resolved_jobs))
     obs.gauge("runner.workers", float(workers))
     obs.gauge("runner.campaign_wall_s", wall_s, units="s")
-    if stats is not None:
-        for name, value in (
-            ("runner.pool_rebuilds", stats.pool_rebuilds),
-            ("runner.cell_retries", stats.cell_retries),
-            ("runner.cell_failures", stats.cell_failures),
-            ("runner.checkpoint_hits", stats.checkpoint_hits),
-            ("runner.checkpoint_stored", stats.checkpoint_stored),
-        ):
-            if value:
-                obs.count(name, value)
     for result in results:
         obs.observe(
             "runner.cell_wall_s", float(result.metadata.get("cell_wall_s", 0.0))

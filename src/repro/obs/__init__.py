@@ -11,8 +11,9 @@ for every hot layer of the system with zero external dependencies:
   gauges resolved worker counts and per-cell wall times into the
   thread-locally :func:`installed <installed>` registry;
 * the service broker times its stages (cache lookup, dedupe, batch
-  window, dispatch, serialize) into a long-lived registry surfaced by
-  ``GET /v1/metrics``.
+  window, dispatch, serialize), counts its requests and keeps its
+  latency windows in a long-lived registry — with the result cache's
+  counters beside them — surfaced whole by ``GET /v1/metrics``.
 
 Everything serialises to the repo-wide **bench-metrics/v1** schema
 (:mod:`repro.obs.schema`), so profiler output, campaign manifests, and
@@ -21,7 +22,15 @@ the committed ``benchmarks/out/*.json`` baselines the CI perf gate
 compares against.
 """
 
-from .instruments import DEFAULT_EDGES, Counter, Gauge, Histogram, SpanStat
+from .instruments import (
+    DEFAULT_EDGES,
+    Counter,
+    Gauge,
+    Histogram,
+    SpanStat,
+    Window,
+    percentile,
+)
 from .registry import (
     DEFAULT_SAMPLE,
     DISABLED,
@@ -42,9 +51,11 @@ __all__ = [
     "Histogram",
     "Registry",
     "SpanStat",
+    "Window",
     "bench_metrics_payload",
     "current",
     "install",
     "installed",
+    "percentile",
     "validate_bench_metrics",
 ]

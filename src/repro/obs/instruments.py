@@ -1,4 +1,5 @@
-"""The observability primitives: counters, gauges, histograms, span stats.
+"""The observability primitives: counters, gauges, histograms, span stats
+and sample windows.
 
 Instruments are plain accumulator objects with no locking of their own —
 the owning :class:`~repro.obs.registry.Registry` serialises access, so a
@@ -11,7 +12,9 @@ runner, and the service ``/v1/metrics`` endpoint.
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Sequence, Tuple
+import math
+from collections import deque
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from ..errors import ConfigurationError
 
@@ -20,6 +23,25 @@ from ..errors import ConfigurationError
 DEFAULT_EDGES: Tuple[float, ...] = (
     1e-5, 1e-4, 1e-3, 1e-2, 0.1, 0.5, 1.0, 5.0, 30.0, 120.0
 )
+
+#: Samples a :class:`Window` retains; older ones are dropped FIFO so a
+#: long-lived server reports recent behaviour.
+MAX_SAMPLES = 8192
+
+
+def percentile(samples: Sequence[float], q: float) -> float:
+    """The *q*-quantile (0..1) of *samples* by linear interpolation."""
+    if not samples:
+        return 0.0
+    if not 0.0 <= q <= 1.0:
+        raise ValueError(f"q must be in [0, 1], got {q}")
+    ordered = sorted(samples)
+    pos = q * (len(ordered) - 1)
+    lo = math.floor(pos)
+    hi = math.ceil(pos)
+    if lo == hi:
+        return ordered[lo]
+    return ordered[lo] + (ordered[hi] - ordered[lo]) * (pos - lo)
 
 
 class Counter:
@@ -154,4 +176,30 @@ class SpanStat:
             {"name": f"{self.name}_total_s", "value": self.total_s, "units": "s"},
             {"name": f"{self.name}_self_s", "value": self.self_s, "units": "s"},
             {"name": f"{self.name}_max_s", "value": self.max_s, "units": "s"},
+        ]
+
+
+class Window:
+    """The most recent :data:`MAX_SAMPLES` latency samples, in seconds.
+
+    Exports the p50/p95/p99 of what it holds, in milliseconds (0.0 while
+    empty).  Unlike a :class:`Histogram` it keeps raw samples, so its
+    percentiles are exact over the window rather than bucket-bounded.
+    """
+
+    __slots__ = ("name", "samples")
+
+    def __init__(self, name: str, samples: Iterable[float] = ()) -> None:
+        self.name = name
+        self.samples: "deque[float]" = deque(samples, maxlen=MAX_SAMPLES)
+
+    def metrics(self) -> List[Dict[str, Any]]:
+        ordered = sorted(self.samples)
+        return [
+            {
+                "name": f"{self.name}_p{int(q * 100)}_ms",
+                "value": percentile(ordered, q) * 1e3,
+                "units": "ms",
+            }
+            for q in (0.5, 0.95, 0.99)
         ]

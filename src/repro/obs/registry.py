@@ -1,4 +1,5 @@
-"""The metrics registry: one sink for spans, counters, gauges, histograms.
+"""The metrics registry: one sink for spans, counters, gauges, histograms
+and latency sample windows.
 
 A :class:`Registry` is the unit of collection: the kernel profiles into
 one per run, ``run_many`` gauges the active one, and the service owns a
@@ -30,7 +31,14 @@ import time
 from typing import Any, Dict, Iterator, List, Optional, Sequence
 
 from ..errors import ConfigurationError
-from .instruments import DEFAULT_EDGES, Counter, Gauge, Histogram, SpanStat
+from .instruments import (
+    DEFAULT_EDGES,
+    Counter,
+    Gauge,
+    Histogram,
+    SpanStat,
+    Window,
+)
 from .schema import bench_metrics_payload
 
 
@@ -62,6 +70,7 @@ class Registry:
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._spans: Dict[str, SpanStat] = {}
+        self._windows: Dict[str, Window] = {}
         self._stacks = threading.local()
         self.started_at = time.monotonic()
 
@@ -101,6 +110,16 @@ class Registry:
             if histogram is None:
                 histogram = self._histograms[name] = Histogram(name, edges, units)
             histogram.observe(value)
+
+    def record(self, name: str, *values: float) -> None:
+        """Append *values* to sample window *name*; none just creates it."""
+        if not self.enabled:
+            return
+        with self._lock:
+            window = self._windows.get(name)
+            if window is None:
+                window = self._windows[name] = Window(name)
+            window.samples.extend(values)
 
     def span_add(
         self,
@@ -162,6 +181,12 @@ class Registry:
         with self._lock:
             return sorted(self._spans)
 
+    def window_samples(self, name: str) -> List[float]:
+        """A copy of window *name*'s retained samples (empty if absent)."""
+        with self._lock:
+            window = self._windows.get(name)
+            return list(window.samples) if window is not None else []
+
     def snapshot(self) -> Dict[str, Dict[str, Any]]:
         """A consistent plain-dict copy of every instrument."""
         with self._lock:
@@ -197,6 +222,8 @@ class Registry:
                 + list(self._gauges.values())
                 + list(self._histograms.values())
                 + list(self._spans.values())
+                # Copied under the lock: percentiles sort outside it.
+                + [Window(w.name, w.samples) for w in self._windows.values()]
             )
         metrics: List[Dict[str, Any]] = []
         for instrument in sorted(instruments, key=lambda i: i.name):

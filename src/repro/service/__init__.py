@@ -16,8 +16,9 @@ the analysis substrate.  The pieces compose bottom-up:
 * :mod:`~repro.service.broker` — the async request broker: admission
   control, in-flight dedupe, micro-batching of cache misses onto
   :func:`repro.experiments.runner.run_many`, per-request timeouts.
-* :mod:`~repro.service.stats` — service counters and latency
-  percentiles, exported in the bench-metrics/v1 schema.
+  Its counters, latency windows and stage spans — and the cache's
+  counters — live in one :class:`repro.obs.Registry`, exported whole
+  in the bench-metrics/v1 schema by ``GET /v1/metrics``.
 * :mod:`~repro.service.server` — the stdlib HTTP front end
   (``lpfps serve``).
 * :mod:`~repro.service.client` — HTTP client plus closed- and open-loop
@@ -46,7 +47,6 @@ from .query import Query, QueryError, parse_query
 from .results import encode_result, execute_analytic
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy, RetryingClient
 from .server import ScheduleService, serve_forever
-from .stats import ServiceStats
 from .supervisor import FleetError, FleetSupervisor, RestartBudget
 
 __all__ = [
@@ -62,7 +62,6 @@ __all__ = [
     "RetryingClient",
     "ScheduleService",
     "ServiceGuards",
-    "ServiceStats",
     "canonical_payload",
     "encode_result",
     "execute_analytic",

@@ -39,12 +39,21 @@ from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..errors import ConfigurationError, ReproError, ServiceError
 from ..experiments.runner import resolve_jobs, run_many
-from ..obs.registry import DISABLED, Registry, install
+from ..obs.instruments import percentile
+from ..obs.registry import Registry, install
 from .cache import ResultCache
 from .fingerprint import fingerprint
 from .query import Query
 from .results import encode_result, error_payload, execute_analytic
-from .stats import ServiceStats
+
+#: Request counters, registered at 0 so a fresh registry lists them.
+COUNTERS = (
+    "requests", "cache_hits", "dedup_hits", "dispatched", "batches",
+    "batched_cells", "shed", "timeouts", "fallbacks", "errors",
+)
+
+#: Latency paths; each keeps a ``{path}_latency`` window in the registry.
+PATHS = ("hit", "miss", "analytic")
 
 
 class AdmissionError(ServiceError):
@@ -152,16 +161,17 @@ class Broker:
         cache: Optional[ResultCache] = None,
         guards: Optional[ServiceGuards] = None,
         jobs: Optional[int] = 0,
-        stats: Optional[ServiceStats] = None,
         obs: Optional[Registry] = None,
     ):
         self.cache = cache if cache is not None else ResultCache()
         self.guards = guards if guards is not None else ServiceGuards()
         self.jobs = resolve_jobs(jobs)
-        self.stats = stats if stats is not None else ServiceStats()
-        #: Stage-level spans/counters; ``DISABLED`` when nobody injected
-        #: a registry, so the span context managers cost one branch.
-        self.obs = obs if obs is not None else DISABLED
+        #: Every count, latency window and stage span this broker keeps.
+        self.obs = obs if obs is not None else Registry()
+        for name in COUNTERS:
+            self.obs.count(name, 0)
+        for path in PATHS:
+            self.obs.record(f"{path}_latency")
         self._queue: "queue.Queue[Tuple[str, Query]]" = queue.Queue()
         self._inflight: Dict[str, "Future[dict]"] = {}
         self._lock = threading.Lock()
@@ -176,13 +186,13 @@ class Broker:
         """Admit one query; returns a future resolving to its payload."""
         if self._closed.is_set():
             raise BrokerClosed("broker is closed")
-        self.stats.count("requests")
         obs = self.obs
+        obs.count("requests")
         key = fingerprint(query)
         with obs.span("broker.cache_lookup"):
             cached = self.cache.get(key)
         if cached is not None:
-            self.stats.count("cache_hits")
+            obs.count("cache_hits")
             done: "Future[dict]" = Future()
             done.set_result(cached)
             return Submission(done, "hit", key)
@@ -197,10 +207,10 @@ class Broker:
         with obs.span("broker.dedupe"), self._lock:
             existing = self._inflight.get(key)
             if existing is not None:
-                self.stats.count("dedup_hits")
+                obs.count("dedup_hits")
                 return Submission(existing, "dedup", key)
             if len(self._inflight) >= self.guards.max_pending:
-                self.stats.count("shed")
+                obs.count("shed")
                 depth = len(self._inflight)
                 raise AdmissionError(
                     f"{depth} requests in flight "
@@ -210,7 +220,7 @@ class Broker:
                 )
             future = Future()
             self._inflight[key] = future
-        self.stats.count("dispatched")
+        obs.count("dispatched")
         self._queue.put((key, query))
         return Submission(future, "miss", key)
 
@@ -228,15 +238,14 @@ class Broker:
         try:
             payload = submission.future.result(timeout=deadline)
         except FutureTimeout:
-            self.stats.count("timeouts")
+            self.obs.count("timeouts")
             raise RequestTimeout(
                 f"no answer within {deadline:g}s (query {submission.fingerprint[:12]}); "
                 "the result will be cached when it completes — retry"
             ) from None
-        path = "hit" if submission.path in ("hit", "dedup") else (
-            "analytic" if submission.path == "analytic" else "miss"
-        )
-        self.stats.record_latency(path, time.perf_counter() - start)
+        # A dedupe joiner waited on a simulation, so its wait is a miss.
+        path = submission.path if submission.path in ("hit", "analytic") else "miss"
+        self.obs.record(f"{path}_latency", time.perf_counter() - start)
         return payload
 
     def pending(self) -> int:
@@ -252,11 +261,9 @@ class Broker:
         depth / jobs``, clamped to ``[1, 60]`` seconds.  With no miss
         samples yet the honest answer is the old floor of one second.
         """
-        from .stats import percentile
-
         if depth is None:
             depth = self.pending()
-        p50 = percentile(self.stats.samples("miss"), 0.5)
+        p50 = percentile(self.obs.window_samples("miss_latency"), 0.5)
         if p50 <= 0.0 or depth <= 0:
             return 1.0
         return min(60.0, max(1.0, p50 * depth / max(1, self.jobs)))
@@ -283,7 +290,6 @@ class Broker:
         load = pending / self.guards.max_pending
         if load < 0.5:
             return window
-        self.stats.count("window_shrinks")
         self.obs.count("broker.window_shrinks")
         return 0.0 if load >= 0.75 else window * 0.25
 
@@ -336,9 +342,9 @@ class Broker:
 
     def _run_batch(self, batch: List[Tuple[str, Query]]) -> None:
         """Run one micro-batch as a single campaign; contain failures."""
-        self.stats.count("batches")
-        self.stats.count("batched_cells", len(batch))
         obs = self.obs
+        obs.count("batches")
+        obs.count("batched_cells", len(batch))
         obs.observe(
             "broker.batch_size",
             float(len(batch)),
@@ -365,7 +371,7 @@ class Broker:
             else:
                 # One bad cell must not fail its batch neighbours: rerun
                 # serially with per-cell containment (the guard idiom).
-                self.stats.count("fallbacks")
+                obs.count("fallbacks")
                 with obs.span("broker.dispatch"):
                     for key, query in batch:
                         try:
@@ -385,7 +391,7 @@ class Broker:
         for key, payload in payloads.items():
             self.cache.put(key, payload)
             if not payload.get("ok", True):
-                self.stats.count("errors")
+                self.obs.count("errors")
         futures: Dict[str, "Future[dict]"] = {}
         with self._lock:
             for key in list(payloads) + list(failures):
@@ -396,5 +402,5 @@ class Broker:
             if key in payloads:
                 future.set_result(payloads[key])
             else:
-                self.stats.count("errors")
+                self.obs.count("errors")
                 future.set_exception(failures[key])

@@ -9,9 +9,7 @@ the tiers may be shared between processes and across service restarts.
 * The **memory tier** is a bounded LRU (an ``OrderedDict`` moved-to-end
   on access); eviction only forgets the fast copy, never the answer.
   The bound is explicit (``memory_items``, 0 disables the tier) and
-  every eviction is counted — locally (``evictions``, exported as
-  ``cache_evictions`` by :meth:`ResultCache.counters`) and, when a
-  registry is injected, as the obs counter ``cache.mem_evictions`` so
+  every eviction is counted as ``cache.mem_evictions`` so
   ``/v1/metrics`` surfaces silent memory-pressure churn.
 * The **disk tier** stores one JSON file per fingerprint, sharded by the
   first two hex digits, written with :func:`repro.durable.atomic_write`
@@ -30,6 +28,11 @@ disagrees with the payload).  All three degrade to a miss, counted as
 and verifies the same envelope — ``repair=True`` quarantines broken
 entries under ``quarantine/`` so they can never serve again, and the
 ``cache.scrub_*`` counters surface the sweep on ``/v1/metrics``.
+
+Every count lands in the injected obs registry (none by default):
+``cache_hits_memory``, ``cache_hits_disk``, ``cache_misses`` and
+``cache_puts``, registered at 0 on construction, plus the
+``cache_memory_entries`` gauge.
 """
 
 from __future__ import annotations
@@ -104,11 +107,10 @@ class ResultCache:
         self._disk_dir = Path(disk_dir) if disk_dir is not None else None
         self._obs = obs if obs is not None else DISABLED
         self._lock = threading.Lock()
-        self.hits_memory = 0
-        self.hits_disk = 0
-        self.misses = 0
-        self.puts = 0
-        self.evictions = 0
+        for name in ("cache_hits_memory", "cache_hits_disk", "cache_misses",
+                     "cache_puts"):
+            self._obs.count(name, 0)
+        self._obs.gauge("cache_memory_entries", 0)
 
     # -- lookup --------------------------------------------------------------
     def get(self, key: str) -> Optional[Dict[str, Any]]:
@@ -127,23 +129,23 @@ class ResultCache:
             payload = self._memory.get(key)
             if payload is not None:
                 self._memory.move_to_end(key)
-                self.hits_memory += 1
-                return payload, "memory"
+        if payload is not None:
+            self._obs.count("cache_hits_memory")
+            return payload, "memory"
         payload = self._disk_read(key)
         if payload is not None:
+            self._obs.count("cache_hits_disk")
             with self._lock:
-                self.hits_disk += 1
                 self._memory_put(key, payload)
             return payload, "disk"
-        with self._lock:
-            self.misses += 1
+        self._obs.count("cache_misses")
         return None, "miss"
 
     # -- store ---------------------------------------------------------------
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         """Store *payload* under *key* in both tiers."""
+        self._obs.count("cache_puts")
         with self._lock:
-            self.puts += 1
             self._memory_put(key, payload)
         self._disk_write(key, payload)
 
@@ -154,8 +156,8 @@ class ResultCache:
         self._memory.move_to_end(key)
         while len(self._memory) > self._memory_items:
             self._memory.popitem(last=False)
-            self.evictions += 1
             self._obs.count("cache.mem_evictions")
+        self._obs.gauge("cache_memory_entries", len(self._memory))
 
     # -- disk tier -----------------------------------------------------------
     def _disk_path(self, key: str) -> Optional[Path]:
@@ -195,18 +197,6 @@ class ResultCache:
         """Entries currently resident in the memory tier."""
         with self._lock:
             return len(self._memory)
-
-    def counters(self) -> Dict[str, int]:
-        """Counter snapshot for the metrics endpoint."""
-        with self._lock:
-            return {
-                "cache_hits_memory": self.hits_memory,
-                "cache_hits_disk": self.hits_disk,
-                "cache_misses": self.misses,
-                "cache_puts": self.puts,
-                "cache_evictions": self.evictions,
-                "cache_memory_entries": len(self._memory),
-            }
 
 
 # -- integrity scrubber ------------------------------------------------------

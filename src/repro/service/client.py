@@ -28,7 +28,7 @@ from typing import (
 )
 
 from ..errors import ServiceError
-from .stats import percentile
+from ..obs.instruments import percentile
 from .stream import TERMINAL_KINDS, parse_sse
 
 #: A transport: JSON request dict in, (HTTP-like status, payload) out.

@@ -5,10 +5,13 @@ import pytest
 from repro.errors import ConfigurationError
 from repro.obs.instruments import (
     DEFAULT_EDGES,
+    MAX_SAMPLES,
     Counter,
     Gauge,
     Histogram,
     SpanStat,
+    Window,
+    percentile,
 )
 
 
@@ -102,3 +105,57 @@ class TestSpanStat:
             "phase_self_s": 0.75,
             "phase_max_s": 1.0,
         }
+
+
+class TestPercentile:
+    def test_empty_reads_zero(self):
+        assert percentile([], 0.5) == 0.0
+
+    def test_single_sample_is_every_quantile(self):
+        for q in (0.0, 0.5, 0.99, 1.0):
+            assert percentile([7.0], q) == 7.0
+
+    def test_odd_count_median_is_the_middle_sample(self):
+        assert percentile([5.0, 1.0, 3.0], 0.5) == 3.0
+
+    def test_even_count_interpolates_linearly(self):
+        assert percentile([4.0, 1.0, 2.0, 3.0], 0.5) == pytest.approx(2.5)
+        # pos = 0.9 * 3 = 2.7: 70% of the way from 3.0 to 4.0.
+        assert percentile([1.0, 2.0, 3.0, 4.0], 0.9) == pytest.approx(3.7)
+
+    def test_extremes_are_min_and_max(self):
+        assert percentile([3.0, 9.0, 1.0], 0.0) == 1.0
+        assert percentile([3.0, 9.0, 1.0], 1.0) == 9.0
+
+    @pytest.mark.parametrize("q", [-0.01, 1.01])
+    def test_q_outside_unit_interval_raises(self, q):
+        with pytest.raises(ValueError, match="q must be in"):
+            percentile([1.0, 2.0], q)
+
+
+class TestWindow:
+    def test_empty_window_reads_zero(self):
+        assert Window("hit_latency").metrics() == [
+            {"name": "hit_latency_p50_ms", "value": 0.0, "units": "ms"},
+            {"name": "hit_latency_p95_ms", "value": 0.0, "units": "ms"},
+            {"name": "hit_latency_p99_ms", "value": 0.0, "units": "ms"},
+        ]
+
+    def test_single_sample_exports_milliseconds(self):
+        values = [m["value"] for m in Window("w", [0.002]).metrics()]
+        assert values == [pytest.approx(2.0)] * 3
+
+    def test_percentiles_interpolate(self):
+        window = Window("w", [0.001, 0.002, 0.003, 0.004])
+        p50, p95, p99 = (m["value"] for m in window.metrics())
+        assert p50 == pytest.approx(2.5)
+        assert p95 == pytest.approx(3.85)
+        assert p99 == pytest.approx(3.97)
+
+    def test_fifo_cap_evicts_the_oldest(self):
+        window = Window("w", range(MAX_SAMPLES))
+        assert len(window.samples) == MAX_SAMPLES
+        window.samples.append(MAX_SAMPLES)
+        assert len(window.samples) == MAX_SAMPLES
+        assert window.samples[0] == 1
+        assert window.samples[-1] == MAX_SAMPLES

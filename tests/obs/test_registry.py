@@ -74,6 +74,51 @@ class TestMutators:
         }
 
 
+class TestWindows:
+    def test_record_then_read(self):
+        r = Registry()
+        r.record("miss_latency", 0.25, 0.5)
+        r.record("miss_latency", 1.0)
+        assert r.window_samples("miss_latency") == [0.25, 0.5, 1.0]
+        assert r.window_samples("nope") == []
+
+    def test_record_without_values_registers_at_zero(self):
+        r = Registry()
+        r.record("hit_latency")
+        assert r.window_samples("hit_latency") == []
+        assert r.metrics_list() == [
+            {"name": f"hit_latency_{p}_ms", "value": 0.0, "units": "ms"}
+            for p in ("p50", "p95", "p99")
+        ]
+
+    def test_window_exports_percentiles_in_ms(self):
+        r = Registry()
+        r.record("w", 0.001, 0.003)
+        values = {m["name"]: m["value"] for m in r.metrics_list()}
+        assert values["w_p50_ms"] == pytest.approx(2.0)
+
+    def test_8193rd_sample_evicts_the_oldest(self):
+        r = Registry()
+        r.record("w", *range(8192))
+        r.record("w", 8192)
+        samples = r.window_samples("w")
+        assert len(samples) == 8192
+        assert samples[0] == 1 and samples[-1] == 8192
+
+    def test_disabled_drops_samples(self):
+        DISABLED.record("w", 1.0)
+        assert DISABLED.window_samples("w") == []
+        assert DISABLED.metrics_list() == []
+
+    def test_snapshot_is_unchanged_by_a_window(self):
+        r = Registry()
+        r.count("c")
+        before = r.snapshot()
+        r.record("w", 0.5)
+        assert r.snapshot() == before
+        assert set(before) == {"counters", "gauges", "histograms", "spans"}
+
+
 class TestSpanNesting:
     def test_child_time_excluded_from_parent_self(self):
         r = Registry()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import threading
+
 import pytest
 
 from repro.errors import ConfigurationError
@@ -72,8 +74,26 @@ class TestDedupe:
             assert first.path == "miss"
             assert second.path == "dedup"
             assert second.future is first.future
-            assert broker.stats.snapshot()["dispatched"] == 1
+            assert broker.obs.counter_value("dispatched") == 1
             assert first.future.result(timeout=60)["ok"] is True
+
+    def test_dedup_wait_is_recorded_as_a_miss(self):
+        # A joiner waits on the same simulation as the first caller, so
+        # its latency is a miss's, never a cache hit's.
+        guards = ServiceGuards(batch_window_s=0.05)
+        with Broker(cache=ResultCache(), guards=guards, jobs=1) as broker:
+            query = _energy()
+            waiters = [
+                threading.Thread(target=broker.query, args=(query, 60))
+                for _ in range(2)
+            ]
+            for waiter in waiters:
+                waiter.start()
+            for waiter in waiters:
+                waiter.join()
+            assert broker.obs.counter_value("dedup_hits") == 1
+            assert broker.obs.window_samples("hit_latency") == []
+            assert len(broker.obs.window_samples("miss_latency")) == 2
 
     def test_dedup_bypasses_admission_control(self):
         guards = ServiceGuards(max_pending=1, batch_window_s=0.5)
@@ -91,7 +111,7 @@ class TestAdmission:
             first = broker.submit(_energy(seed=1))
             with pytest.raises(AdmissionError, match="max_pending=1"):
                 broker.submit(_energy(seed=2))
-            assert broker.stats.snapshot()["shed"] == 1
+            assert broker.obs.counter_value("shed") == 1
             assert first.future.result(timeout=60)["ok"] is True
 
     def test_guards_validate_configuration(self):
@@ -112,7 +132,7 @@ class TestBatching:
             submissions = [broker.submit(_energy(seed=s)) for s in (1, 2, 3)]
             for submission in submissions:
                 assert submission.future.result(timeout=60)["ok"] is True
-            counters = broker.stats.snapshot()
+            counters = broker.obs.snapshot()["counters"]
             assert counters["batched_cells"] == 3
             assert counters["batches"] < 3, "the window should coalesce"
 
@@ -133,7 +153,7 @@ class TestTimeouts:
             submission.future.result(timeout=60)
             # …so the retry is a pure cache hit.
             assert broker.submit(query).path == "hit"
-            assert broker.stats.snapshot()["timeouts"] == 1
+            assert broker.obs.counter_value("timeouts") == 1
 
 
 class TestClose:

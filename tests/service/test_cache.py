@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 
-from repro.obs.registry import Registry
+from repro.obs.registry import DISABLED, Registry
 from repro.service.cache import ENVELOPE_VERSION, ResultCache, payload_checksum
 
 PAYLOAD = {"ok": True, "kind": "energy", "average_power": 0.5}
@@ -16,20 +16,23 @@ def _key(i: int) -> str:
 
 class TestMemoryTier:
     def test_round_trip(self):
-        cache = ResultCache(memory_items=4)
+        registry = Registry()
+        cache = ResultCache(memory_items=4, obs=registry)
         cache.put(_key(1), PAYLOAD)
         payload, tier = cache.get_with_tier(_key(1))
         assert payload == PAYLOAD
         assert tier == "memory"
-        assert cache.hits_memory == 1
+        assert registry.counter_value("cache_hits_memory") == 1
 
     def test_miss(self):
-        cache = ResultCache(memory_items=4)
+        registry = Registry()
+        cache = ResultCache(memory_items=4, obs=registry)
         assert cache.get(_key(1)) is None
-        assert cache.misses == 1
+        assert registry.counter_value("cache_misses") == 1
 
     def test_lru_evicts_least_recently_used(self):
-        cache = ResultCache(memory_items=2)
+        registry = Registry()
+        cache = ResultCache(memory_items=2, obs=registry)
         cache.put(_key(1), {"v": 1})
         cache.put(_key(2), {"v": 2})
         assert cache.get(_key(1)) == {"v": 1}  # touch 1: now 2 is LRU
@@ -37,7 +40,7 @@ class TestMemoryTier:
         assert cache.get(_key(2)) is None
         assert cache.get(_key(1)) == {"v": 1}
         assert cache.get(_key(3)) == {"v": 3}
-        assert cache.evictions == 1
+        assert registry.counter_value("cache.mem_evictions") == 1
 
     def test_zero_capacity_memory_tier_is_passthrough(self):
         cache = ResultCache(memory_items=0)
@@ -124,15 +127,16 @@ class TestDiskTier:
 
 
 def test_counters_snapshot():
-    cache = ResultCache(memory_items=2)
+    registry = Registry()
+    cache = ResultCache(memory_items=2, obs=registry)
     cache.put(_key(1), PAYLOAD)
     cache.get(_key(1))
     cache.get(_key(9))
-    counters = cache.counters()
+    counters = registry.snapshot()["counters"]
     assert counters["cache_puts"] == 1
     assert counters["cache_hits_memory"] == 1
     assert counters["cache_misses"] == 1
-    assert counters["cache_memory_entries"] == 1
+    assert registry.gauge_value("cache_memory_entries") == 1
 
 
 def test_memory_evictions_reach_obs_registry():
@@ -143,13 +147,16 @@ def test_memory_evictions_reach_obs_registry():
     assert registry.counter_value("cache.mem_evictions") == 0
     cache.put(_key(3), {"v": 3})
     assert registry.counter_value("cache.mem_evictions") == 1
-    assert cache.counters()["cache_evictions"] == 1
+    # One event, one name: no second eviction counter.
+    assert "cache_evictions" not in registry.snapshot()["counters"]
 
 
 def test_no_registry_means_no_obs_traffic():
-    # The default sink is the DISABLED singleton: evictions still count
-    # locally but nothing escapes the cache object.
+    # The default sink is the DISABLED singleton: nothing the cache
+    # counts escapes the cache object.
     cache = ResultCache(memory_items=1)
     cache.put(_key(1), {"v": 1})
     cache.put(_key(2), {"v": 2})
-    assert cache.evictions == 1
+    assert cache.get(_key(2)) == {"v": 2}
+    assert DISABLED.snapshot()["counters"] == {}
+    assert DISABLED.snapshot()["gauges"] == {}

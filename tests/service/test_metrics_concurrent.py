@@ -91,7 +91,7 @@ def test_final_snapshot_is_valid_bench_metrics(hammered):
     final, _ = hammered
     assert final["schema"] == "bench-metrics/v1"
     assert validate_bench_metrics(final) == []
-    assert {"service", "obs"} <= set(final["tests"])
+    assert set(final["tests"]) == {"service"}
 
 
 def test_request_counter_is_exact(hammered):
@@ -117,7 +117,7 @@ def test_request_counter_is_exact(hammered):
 def test_broker_spans_count_every_submission(hammered):
     final, _ = hammered
     obs_metrics = {
-        m["name"]: m["value"] for m in final["tests"]["obs"]["metrics"]
+        m["name"]: m["value"] for m in final["tests"]["service"]["metrics"]
     }
     total = WRITERS * REQUESTS_PER_WRITER
     # Every submit probes the cache exactly once, hit or miss.
