@@ -23,6 +23,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.cli import main
 from repro.durable import encode
 from repro.experiments.checkpoint import (
     JOURNAL_VERSION,
@@ -163,3 +164,33 @@ class TestCache:
         assert cache.get(GOOD) == {"ok": True, "average_power": 0.5, "misses": 0}
         assert cache.get(BAD) is None
         assert scrub_cache(seed / "cache").corrupt == 0  # the read swept it
+
+
+class TestCacheVerifyCli:
+    """``lpfps cache verify`` over all three stores of the seed."""
+
+    @staticmethod
+    def _verify(seed, *flags):
+        return main([
+            "cache", "verify",
+            "--cache-dir", str(seed / "cache"),
+            "--checkpoint", str(seed / "checkpoint"),
+            *flags,
+        ])
+
+    def test_corruption_exits_1_and_names_each_problem(self, seed, capsys):
+        assert self._verify(seed) == 1
+        out = capsys.readouterr().out
+        assert f"{BAD}.json" in out and "checksum-mismatch" in out
+        assert "torn-suffix:1-records" in out
+
+    def test_repair_exits_0_and_leaves_nothing_to_report(self, seed, capsys):
+        assert self._verify(seed, "--repair") == 0
+        capsys.readouterr()
+        assert self._verify(seed) == 0
+        out = capsys.readouterr().out
+        assert "checksum-mismatch" not in out and "torn-suffix" not in out
+
+    def test_nothing_to_verify_exits_2(self, capsys):
+        assert main(["cache", "verify"]) == 2
+        assert "nothing to verify" in capsys.readouterr().err
