@@ -741,51 +741,15 @@ def _run_cache_verify(args) -> int:
             reports.append(scrub_cache(args.cache_dir, repair=args.repair))
         if args.checkpoint is not None:
             reports.append(scrub_journal(args.checkpoint, repair=args.repair))
-            store_report = CampaignStore(args.checkpoint).scrub(
-                repair=args.repair
-            )
-            reports.append(store_report)
+            reports.append(CampaignStore(args.checkpoint).scrub(repair=args.repair))
     except ReproError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    documents = [
-        report if isinstance(report, dict) else report.to_document()
-        for report in reports
-    ]
     if args.json:
-        print(json.dumps(documents, indent=2, sort_keys=True))
+        print(json.dumps(reports, indent=2, sort_keys=True))
     else:
-        for report in reports:
-            if isinstance(report, dict):
-                print(_render_campaign_scrub(report))
-            else:
-                print(report.render())
-    corrupt = sum(
-        document.get("corrupt", 0)
-        + document.get("manifests_corrupt", 0)
-        + document.get("events_corrupt", 0)
-        for document in documents
-    )
-    if corrupt and not args.repair:
-        return 1
-    return 0
-
-
-def _render_campaign_scrub(report) -> str:
-    """Human-readable summary of a :meth:`CampaignStore.scrub` report."""
-    lines = [
-        "campaign-store scrub"
-        + (" (repair)" if report.get("repair") else " (report only)"),
-        f"  manifests: {report.get('manifests', 0)} "
-        f"({report.get('manifests_corrupt', 0)} corrupt)",
-        f"  event logs: {report.get('event_logs', 0)} "
-        f"({report.get('logs_truncated', 0)} truncated)",
-        f"  events: {report.get('events', 0)} "
-        f"({report.get('events_corrupt', 0)} corrupt)",
-    ]
-    for problem in report.get("problems", []):
-        lines.append(f"  problem: {problem}")
-    return "\n".join(lines)
+        print("\n".join(report.render() for report in reports))
+    return 1 if not args.repair and any(r["corrupt"] for r in reports) else 0
 
 
 def _run_schedulers(args) -> int:
@@ -972,6 +936,8 @@ def _run_query(args) -> int:
     if args.duration is not None:
         request["duration"] = args.duration
     if args.url is not None:
+        import http.client
+
         from .errors import ReproError
         from .service.client import ServiceClient
         from .service.retry import RetryingClient, RetryPolicy
@@ -983,7 +949,7 @@ def _run_query(args) -> int:
             )
         try:
             status, payload = send(request)
-        except ReproError as exc:
+        except (ReproError, OSError, http.client.HTTPException) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 1
         print(json.dumps(payload, indent=2, sort_keys=True))

@@ -21,6 +21,8 @@ getting bytes onto the disk and back live here, once:
   with ``None`` when the line is torn, not JSON, or rejected by the
   codec.  Each store applies its own policy to the pairs.
 * :func:`rewrite` atomically keeps a chosen subset of lines verbatim.
+* :class:`ScrubReport` is what every store's integrity scrub returns:
+  one versioned document, one renderer, one set of counters.
 """
 
 from __future__ import annotations
@@ -33,6 +35,9 @@ from pathlib import Path
 from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple, TypeVar, Union
 
 T = TypeVar("T")
+
+#: Version of the scrub report document (``lpfps cache verify --json``).
+SCRUB_SCHEMA = "repro/scrub/v1"
 
 
 def _canonical(obj: Any) -> str:
@@ -172,3 +177,47 @@ class AppendLog:
                 handle.close()
             except OSError:
                 pass
+
+
+class ScrubReport(dict):
+    """One store's integrity scrub; the dict *is* its ``--json`` document.
+
+    ``{"schema", "kind", "path", "repair", "scanned", "intact",
+    "corrupt", "repaired", "problems": [{"path", "reason"}]}``.  *kind*
+    names the store (``cache``, ``journal`` or ``campaign``); a record
+    is whatever unit the store verifies (a cache entry, a journal line,
+    a manifest or an event line), so ``scanned`` counts records, and
+    ``repaired`` counts the corrupt ones moved or cut away.  Each store
+    keeps its own scan and repair policy; only this vocabulary is shared.
+    """
+
+    def __init__(self, kind: str, path: Union[str, Path], repair: bool):
+        super().__init__(
+            schema=SCRUB_SCHEMA, kind=kind, path=str(path), repair=bool(repair),
+            scanned=0, intact=0, corrupt=0, repaired=0, problems=[],
+        )
+
+    @property
+    def clean(self) -> bool:
+        return not self["problems"]
+
+    def problem(self, path: Union[str, Path], reason: str) -> None:
+        self["problems"].append({"path": str(path), "reason": reason})
+
+    def count(self, obs: Any) -> "ScrubReport":
+        """Add the totals to *obs* as ``scrub.<kind>.<field>``; returns self."""
+        if obs is not None:
+            for name in ("scanned", "intact", "corrupt", "repaired"):
+                obs.count(f"scrub.{self['kind']}.{name}", self[name])
+        return self
+
+    def render(self) -> str:
+        verdict = "clean" if self.clean else f"{self['corrupt']} corrupt"
+        lines = [
+            f"{self['kind']} scrub: {self['path']}",
+            f"  scanned {self['scanned']}, intact {self['intact']}, "
+            f"repaired {self['repaired']} — {verdict}",
+        ]
+        for problem in self["problems"]:
+            lines.append(f"  {problem['reason']:<18} {problem['path']}")
+        return "\n".join(lines)

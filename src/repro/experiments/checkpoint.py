@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
-from ..durable import AppendLog, checksum, rewrite, scan
+from ..durable import AppendLog, ScrubReport, checksum, rewrite, scan
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner ← checkpoint)
     from .runner import RunSpec
@@ -388,88 +388,35 @@ def gc_journal(
     return report
 
 
-@dataclass(frozen=True)
-class JournalScrubReport:
-    """What :func:`scrub_journal` found (and, with repair, dropped)."""
-
-    path: Path
-    repair: bool
-    records: int = 0      #: non-empty lines inspected
-    intact: int = 0       #: lines passing the full record checksum
-    corrupt: int = 0      #: torn / checksum-mismatched / alien lines
-    dropped: int = 0      #: corrupt lines physically removed (repair)
-
-    @property
-    def clean(self) -> bool:
-        return self.corrupt == 0
-
-    def to_document(self) -> Dict[str, Any]:
-        return {
-            "kind": "journal-scrub",
-            "path": str(self.path),
-            "repair": self.repair,
-            "records": self.records,
-            "intact": self.intact,
-            "corrupt": self.corrupt,
-            "dropped": self.dropped,
-        }
-
-    def render(self) -> str:
-        verdict = "clean" if self.clean else f"{self.corrupt} corrupt"
-        tail = f", dropped {self.dropped}" if self.repair else ""
-        return (
-            f"journal scrub: {self.path}\n"
-            f"  records {self.records}, intact {self.intact}{tail} — {verdict}"
-        )
-
-
 def scrub_journal(
     directory: Union[str, Path],
     repair: bool = False,
     obs: Any = None,
-) -> JournalScrubReport:
+) -> ScrubReport:
     """Verify every record of a checkpoint journal.
 
     Applies the exact acceptance rules of :meth:`CheckpointJournal.load`
     line by line (version, field shapes, blob checksum) and reports the
-    torn/corrupt remainder.  With ``repair=True`` the journal is
-    rewritten **atomically** keeping only intact lines, verbatim and in
-    order — unlike :func:`gc_journal` it never drops an intact record,
-    superseded or not, so scrubbing commutes with compaction.  A missing
-    journal is a clean no-op.  Like GC, repair must not race a live
-    appender.
-
-    Counters (when *obs* is an obs registry):
-    ``cache.scrub_journal_records``, ``cache.scrub_journal_intact``,
-    ``cache.scrub_journal_corrupt``, ``cache.scrub_journal_dropped``.
+    torn/corrupt remainder as one ``corrupt-records:K`` problem.  With
+    ``repair=True`` the journal is rewritten **atomically** keeping only
+    intact lines, verbatim and in order — unlike :func:`gc_journal` it
+    never drops an intact record, superseded or not, so scrubbing
+    commutes with compaction.  A missing journal is a clean no-op.  Like
+    GC, repair must not race a live appender.  Totals are counted into
+    *obs* as ``scrub.journal.*``.
     """
-    from ..obs.registry import DISABLED
-
-    sink = obs if obs is not None else DISABLED
     path = Path(directory) / JOURNAL_NAME
+    report = ScrubReport("journal", path, repair)
     try:
         entries = scan(path, _decode_record)
     except OSError:
-        return JournalScrubReport(path=path, repair=repair)
-    intact = []
-    for line, entry in entries:
-        sink.count("cache.scrub_journal_records")
-        if entry is None:
-            sink.count("cache.scrub_journal_corrupt")
-        else:
-            sink.count("cache.scrub_journal_intact")
-            intact.append(line)
+        entries = []
+    intact = [line for line, entry in entries if entry is not None]
     corrupt = len(entries) - len(intact)
-    dropped = 0
-    if repair and corrupt:
-        rewrite(path, intact)
-        dropped = corrupt
-        sink.count("cache.scrub_journal_dropped", corrupt)
-    return JournalScrubReport(
-        path=path,
-        repair=repair,
-        records=len(entries),
-        intact=len(intact),
-        corrupt=corrupt,
-        dropped=dropped,
-    )
+    report.update(scanned=len(entries), intact=len(intact), corrupt=corrupt)
+    if corrupt:
+        report.problem(path, f"corrupt-records:{corrupt}")
+        if repair:
+            rewrite(path, intact)
+            report["repaired"] = corrupt
+    return report.count(obs)

@@ -22,11 +22,11 @@ Requests flow through four gates:
    processes under the shared ``jobs`` convention (``0`` = auto).
 
 Failure containment mirrors ``faults/guards``: a batch whose campaign
-raises is retried serially cell-by-cell (``guards.serial_fallback``), so
-one poisoned query cannot take down its batch neighbours; deterministic
-refusals become cacheable error payloads; per-request timeouts
-(:class:`RequestTimeout`, HTTP 504) abandon the *wait*, never the
-computation — the late answer still lands in the cache for the retry.
+raises is retried serially cell-by-cell, so one poisoned query cannot
+take down its batch neighbours; deterministic refusals become cacheable
+error payloads; per-request timeouts (:class:`RequestTimeout`, HTTP
+504) abandon the *wait*, never the computation — the late answer still
+lands in the cache for the retry.
 """
 
 from __future__ import annotations
@@ -107,16 +107,12 @@ class ServiceGuards:
         more arrive.  Zero dispatches every miss immediately.
     max_batch:
         Hard cap on cells per dispatched campaign.
-    serial_fallback:
-        Retry a failed batch cell-by-cell so one poisoned query cannot
-        fail its neighbours.
     """
 
     max_pending: int = 256
     request_timeout_s: float = 60.0
     batch_window_s: float = 0.005
     max_batch: int = 32
-    serial_fallback: bool = True
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -133,16 +129,6 @@ class ServiceGuards:
             )
         if self.max_batch < 1:
             raise ConfigurationError(f"max_batch must be >= 1, got {self.max_batch}")
-
-    @staticmethod
-    def none() -> "ServiceGuards":
-        """Effectively unguarded: huge queue, no batching delay."""
-        return ServiceGuards(
-            max_pending=1_000_000,
-            request_timeout_s=3_600.0,
-            batch_window_s=0.0,
-            serial_fallback=False,
-        )
 
 
 class Submission(NamedTuple):
@@ -361,27 +347,18 @@ class Broker:
             with obs.span("broker.serialize"):
                 for (key, query), result in zip(batch, results):
                     payloads[key] = encode_result(query, result)
-        except BaseException as exc:  # noqa: BLE001 - contained below
-            if not self.guards.serial_fallback:
+        except BaseException:  # noqa: BLE001 - contained below
+            # One bad cell must not fail its batch neighbours: rerun
+            # serially with per-cell containment (the guard idiom).
+            obs.count("fallbacks")
+            with obs.span("broker.dispatch"):
                 for key, query in batch:
-                    if isinstance(exc, ReproError):
+                    try:
+                        payloads[key] = encode_result(query, query.to_runspec().run())
+                    except ReproError as exc:
                         payloads[key] = error_payload(query, exc)
-                    else:
+                    except BaseException as exc:  # noqa: BLE001
                         failures[key] = exc
-            else:
-                # One bad cell must not fail its batch neighbours: rerun
-                # serially with per-cell containment (the guard idiom).
-                obs.count("fallbacks")
-                with obs.span("broker.dispatch"):
-                    for key, query in batch:
-                        try:
-                            payloads[key] = encode_result(
-                                query, query.to_runspec().run()
-                            )
-                        except ReproError as cell_exc:
-                            payloads[key] = error_payload(query, cell_exc)
-                        except BaseException as cell_exc:  # noqa: BLE001
-                            failures[key] = cell_exc
         self._complete(payloads, failures)
 
     def _complete(

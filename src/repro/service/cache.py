@@ -27,7 +27,7 @@ disagrees with the payload).  All three degrade to a miss, counted as
 ``cache.disk_corrupt``.  :func:`scrub_cache` walks every shard offline
 and verifies the same envelope — ``repair=True`` quarantines broken
 entries under ``quarantine/`` so they can never serve again, and the
-``cache.scrub_*`` counters surface the sweep on ``/v1/metrics``.
+``scrub.cache.*`` counters surface the sweep on ``/v1/metrics``.
 
 Every count lands in the injected obs registry (none by default):
 ``cache_hits_memory``, ``cache_hits_disk``, ``cache_misses`` and
@@ -41,11 +41,10 @@ import json
 import os
 import threading
 from collections import OrderedDict
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, Optional, Tuple, Union
 
-from ..durable import atomic_write, checksum
+from ..durable import ScrubReport, atomic_write, checksum
 from ..obs.registry import DISABLED, Registry
 
 #: Version of the on-disk entry envelope.
@@ -200,47 +199,6 @@ class ResultCache:
 
 
 # -- integrity scrubber ------------------------------------------------------
-@dataclass
-class CacheScrubReport:
-    """Outcome of one :func:`scrub_cache` sweep."""
-
-    directory: str
-    repair: bool
-    scanned: int = 0
-    intact: int = 0
-    corrupt: int = 0
-    quarantined: int = 0
-    #: One ``{"path": ..., "reason": ...}`` record per broken entry.
-    problems: List[Dict[str, str]] = field(default_factory=list)
-
-    @property
-    def clean(self) -> bool:
-        return self.corrupt == 0
-
-    def to_document(self) -> Dict[str, Any]:
-        return {
-            "kind": "cache-scrub",
-            "directory": self.directory,
-            "repair": self.repair,
-            "scanned": self.scanned,
-            "intact": self.intact,
-            "corrupt": self.corrupt,
-            "quarantined": self.quarantined,
-            "problems": list(self.problems),
-        }
-
-    def render(self) -> str:
-        verdict = "clean" if self.clean else f"{self.corrupt} corrupt"
-        lines = [
-            f"cache scrub: {self.directory}",
-            f"  scanned {self.scanned}, intact {self.intact}, "
-            f"quarantined {self.quarantined} — {verdict}",
-        ]
-        for problem in self.problems:
-            lines.append(f"  {problem['reason']:<18} {problem['path']}")
-        return "\n".join(lines)
-
-
 def _read_entry(path: Path) -> Tuple[Optional[Dict[str, Any]], str]:
     """One shard file's payload and envelope verdict ("ok" or a defect)."""
     try:
@@ -274,7 +232,7 @@ def scrub_cache(
     disk_dir: Union[str, Path],
     repair: bool = False,
     obs: Optional["Registry"] = None,
-) -> CacheScrubReport:
+) -> ScrubReport:
     """Verify every disk-tier entry under *disk_dir*.
 
     Each shard file is re-validated against the checksum envelope; torn
@@ -282,36 +240,26 @@ def scrub_cache(
     ``repair=True`` broken entries are *quarantined* — moved aside, so a
     later reader sees a miss (never a wrong hit) while the evidence
     survives for inspection.  An absent directory is a clean no-op scrub
-    (a cold cache has nothing to verify).
-
-    Counters (when *obs* is given): ``cache.scrub_scanned``,
-    ``cache.scrub_intact``, ``cache.scrub_corrupt``,
-    ``cache.scrub_quarantined``.
+    (a cold cache has nothing to verify).  Totals are counted into *obs*
+    as ``scrub.cache.*``.
     """
-    sink = obs if obs is not None else DISABLED
     root = Path(disk_dir)
-    report = CacheScrubReport(directory=str(root), repair=repair)
-    if not root.is_dir():
-        return report
-    for shard in sorted(root.iterdir()):
-        # Shard dirs are the first two hex digits of the key; anything
-        # else (quarantine/, stray files) is not cache payload.
-        if not shard.is_dir() or shard.name == QUARANTINE_DIR:
+    report = ScrubReport("cache", root, repair)
+    for path in sorted(root.glob("*/*.json")):
+        # Shard dirs are the first two hex digits of the key; quarantine/
+        # and stray files are not cache payload.
+        shard = path.parent.name
+        if shard == QUARANTINE_DIR:
             continue
-        for path in sorted(shard.glob("*.json")):
-            report.scanned += 1
-            sink.count("cache.scrub_scanned")
-            _, verdict = _read_entry(path)
-            if verdict == "ok" and not path.stem.startswith(shard.name):
-                verdict = "misfiled-shard"
-            if verdict == "ok":
-                report.intact += 1
-                sink.count("cache.scrub_intact")
-                continue
-            report.corrupt += 1
-            sink.count("cache.scrub_corrupt")
-            report.problems.append({"path": str(path), "reason": verdict})
-            if repair and _quarantine(root, path):
-                report.quarantined += 1
-                sink.count("cache.scrub_quarantined")
-    return report
+        report["scanned"] += 1
+        _, verdict = _read_entry(path)
+        if verdict == "ok" and not path.stem.startswith(shard):
+            verdict = "misfiled-shard"
+        if verdict == "ok":
+            report["intact"] += 1
+            continue
+        report["corrupt"] += 1
+        report.problem(path, verdict)
+        if repair and _quarantine(root, path):
+            report["repaired"] += 1
+    return report.count(obs)

@@ -58,7 +58,7 @@ try:  # pragma: no cover - absent only on non-POSIX platforms
 except ImportError:  # pragma: no cover
     fcntl = None  # type: ignore[assignment]
 
-from ..durable import AppendLog, atomic_write, checksum, rewrite, scan
+from ..durable import AppendLog, ScrubReport, atomic_write, checksum, rewrite, scan
 from ..obs.registry import DISABLED
 
 #: Version of the manifest document and the event record envelope.
@@ -288,86 +288,62 @@ class CampaignStore:
                 log.close()
 
     # -- integrity -----------------------------------------------------------
-    def scrub(self, repair: bool = False, obs: Any = None) -> Dict[str, Any]:
+    def scrub(self, repair: bool = False, obs: Any = None) -> ScrubReport:
         """Verify every manifest and event log under the store.
 
-        Event logs are checked against the prefix rule; with
-        ``repair=True`` each log is truncated (atomically rewritten) to
-        its intact prefix and corrupt manifests are quarantined by
-        rename (``.corrupt`` suffix), so a later reader can never
-        replay a broken record.  Rewrites are **lease-guarded**: a log
-        whose campaign is owned by a live sibling process is never
-        rewritten from under its open append handle — the repair is
-        skipped and recorded as a problem instead (the owner terminates
-        torn tails itself on its next append).  One unreadable file is
-        one report entry, never an aborted scrub.  Counters:
-        ``cache.scrub_manifests``, ``cache.scrub_manifest_corrupt``,
-        ``cache.scrub_events``, ``cache.scrub_event_corrupt``,
-        ``cache.scrub_events_truncated``.
+        A manifest is one record and so is an event line.  Event logs
+        are checked against the prefix rule; with ``repair=True`` each
+        log is truncated (atomically rewritten) to its intact prefix and
+        corrupt manifests are quarantined by rename (``.corrupt``
+        suffix), so a later reader can never replay a broken record.
+        Rewrites are **lease-guarded**: a log whose campaign is owned by
+        a live sibling process is never rewritten from under its open
+        append handle — the repair is skipped and recorded as a problem
+        instead (the owner terminates torn tails itself on its next
+        append).  One unreadable file is one problem, never an aborted
+        scrub.  Totals are counted into *obs* as ``scrub.campaign.*``.
         """
-        sink = obs if obs is not None else DISABLED
-        report = {
-            "kind": "campaign-scrub",
-            "directory": str(self.campaigns_dir),
-            "repair": bool(repair),
-            "manifests": 0,
-            "manifests_corrupt": 0,
-            "event_logs": 0,
-            "events": 0,
-            "events_corrupt": 0,
-            "logs_truncated": 0,
-            "problems": [],
-        }
-        if not self.campaigns_dir.is_dir():
-            return report
-
-        def problem(path: Path, reason: str) -> None:
-            report["problems"].append({"path": str(path), "reason": reason})
-
+        report = ScrubReport("campaign", self.campaigns_dir, repair)
         for path in sorted(self.campaigns_dir.glob(f"*{_MANIFEST_SUFFIX}")):
-            campaign_id = path.name[: -len(_MANIFEST_SUFFIX)]
-            report["manifests"] += 1
-            sink.count("cache.scrub_manifests")
-            if self.load_manifest(campaign_id) is None:
-                report["manifests_corrupt"] += 1
-                sink.count("cache.scrub_manifest_corrupt")
-                problem(path, "corrupt-manifest")
-                if repair:
-                    try:
-                        os.replace(path, path.with_suffix(".corrupt"))
-                    except OSError:
-                        pass
+            report["scanned"] += 1
+            if self.load_manifest(path.name[: -len(_MANIFEST_SUFFIX)]) is not None:
+                report["intact"] += 1
+                continue
+            report["corrupt"] += 1
+            report.problem(path, "corrupt-manifest")
+            if repair:
+                try:
+                    os.replace(path, path.with_suffix(".corrupt"))
+                    report["repaired"] += 1
+                except OSError:
+                    pass
         for path in sorted(self.campaigns_dir.glob(f"*{_EVENTS_SUFFIX}")):
             campaign_id = path.name[: -len(_EVENTS_SUFFIX)]
-            report["event_logs"] += 1
             try:
                 lines, prefix = self._read_log(campaign_id)
             except OSError as exc:
-                problem(path, f"unreadable:{type(exc).__name__}")
+                report.problem(path, f"unreadable:{type(exc).__name__}")
                 continue
-            report["events"] += lines
-            for _ in range(lines):
-                sink.count("cache.scrub_events")
             corrupt = lines - len(prefix)
+            report["scanned"] += lines
+            report["intact"] += len(prefix)
             if not corrupt:
                 continue
-            report["events_corrupt"] += corrupt
-            sink.count("cache.scrub_event_corrupt", corrupt)
-            problem(path, f"torn-suffix:{corrupt}-records")
+            report["corrupt"] += corrupt
+            report.problem(path, f"torn-suffix:{corrupt}-records")
             if not repair:
                 continue
             owned = self.owns_lease(campaign_id)
             if not owned and not self.acquire_lease(campaign_id):
-                problem(path, "repair-skipped:lease-held")
+                report.problem(path, "repair-skipped:lease-held")
                 continue
             try:
                 if self._repair(campaign_id)[1]:
-                    report["logs_truncated"] += 1
-                    sink.count("cache.scrub_events_truncated")
+                    report["repaired"] += corrupt
             finally:
                 if not owned:
                     self.release_lease(campaign_id)
-        return report
+        return report.count(obs)
 
     # -- retention -----------------------------------------------------------
     def gc(

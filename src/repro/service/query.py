@@ -26,7 +26,7 @@ exactly what will run:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, Mapping, Optional, Sequence
 
 from ..errors import ConfigurationError, ServiceError
 from ..tasks.generation import ExecutionTimeModel, GaussianModel, WcetModel
@@ -157,8 +157,23 @@ def build_query(
     )
 
 
+def _typed(check: Callable[[Any, str], Any], value: Any, path: str) -> Any:
+    """*value* through a scenario-schema type *check*, else :class:`QueryError`.
+
+    JSON types are taken literally: a bool is not a number and a float
+    is not an integer, so a mistyped field fails instead of coercing
+    into another request's answer.
+    """
+    try:
+        return check(value, path)
+    except ConfigurationError as exc:
+        raise QueryError(str(exc)) from None
+
+
 def _parse_tasks(raw: Sequence[Mapping[str, Any]], unit_scale: float) -> TaskSet:
     """Build a :class:`TaskSet` from inline JSON task dicts."""
+    from ..scenarios.schema import _integer, _number  # the schema imports us
+
     if not raw:
         raise QueryError("tasks must be a non-empty list")
     tasks = []
@@ -174,14 +189,11 @@ def _parse_tasks(raw: Sequence[Mapping[str, Any]], unit_scale: float) -> TaskSet
         kwargs: Dict[str, Any] = {"name": str(entry["name"])}
         for field in _TIME_FIELDS:
             if entry.get(field) is not None:
-                try:
-                    kwargs[field] = float(entry[field]) * unit_scale
-                except (TypeError, ValueError):
-                    raise QueryError(
-                        f"tasks[{i}].{field} must be a number, got {entry[field]!r}"
-                    ) from None
+                value = _typed(_number, entry[field], f"tasks[{i}].{field}")
+                kwargs[field] = value * unit_scale
         if entry.get("priority") is not None:
-            kwargs["priority"] = int(entry["priority"])
+            priority = _typed(_integer, entry["priority"], f"tasks[{i}].priority")
+            kwargs["priority"] = priority
             priorities_given += 1
         try:
             tasks.append(Task(**kwargs))
@@ -202,6 +214,8 @@ def parse_query(request: Mapping[str, Any]) -> Query:
     or inline (``"tasks"`` plus optional ``"time_unit"``); everything
     else is optional with the library's defaults.
     """
+    from ..scenarios.schema import _integer, _number  # the schema imports us
+
     if not isinstance(request, Mapping):
         raise QueryError("request body must be a JSON object")
     known = {
@@ -239,29 +253,20 @@ def parse_query(request: Mapping[str, Any]) -> Query:
         taskset = _parse_tasks(tasks, scale)
     duration = request.get("duration")
     if duration is not None:
-        try:
-            duration = float(duration) * scale
-        except (TypeError, ValueError):
-            raise QueryError(f"duration must be a number, got {duration!r}") from None
-    try:
-        seed = int(request.get("seed", 1))
-    except (TypeError, ValueError):
-        raise QueryError(f"seed must be an integer, got {request.get('seed')!r}") from None
+        duration = _typed(_number, duration, "duration") * scale
     bcet_ratio = request.get("bcet_ratio")
     if bcet_ratio is not None:
-        try:
-            bcet_ratio = float(bcet_ratio)
-        except (TypeError, ValueError):
-            raise QueryError(
-                f"bcet_ratio must be a number, got {bcet_ratio!r}"
-            ) from None
+        bcet_ratio = _typed(_number, bcet_ratio, "bcet_ratio")
+    record_trace = request.get("record_trace")
+    if record_trace is not None and not isinstance(record_trace, bool):
+        raise QueryError(f"record_trace: expected a boolean, got {record_trace!r}")
     return build_query(
         kind=str(kind),
         taskset=taskset,
         scheduler=str(request.get("scheduler", "lpfps")),
-        seed=seed,
+        seed=_typed(_integer, request.get("seed", 1), "seed"),
         bcet_ratio=bcet_ratio,
         duration=duration,
         execution=str(request.get("execution", "gaussian")),
-        record_trace=bool(request.get("record_trace", False)),
+        record_trace=bool(record_trace),
     )

@@ -182,7 +182,7 @@ class TestKillAndResume:
             for row in metrics["tests"]["service"]["metrics"]
         }
         assert values.get("stream.campaigns_resumed", 0) == 1
-        assert values.get("cache.scrub_manifests", 0) >= 1
+        assert values.get("scrub.campaign.scanned", 0) >= 1
 
     def test_resume_scenario_client_rides_through_the_crash(self, tmp_path):
         # The client-side loop: one resume_scenario generator spanning a

@@ -18,13 +18,14 @@ Every test copies the fixture first: reads and repairs rewrite files.
 from __future__ import annotations
 
 import hashlib
+import json
 import shutil
 from pathlib import Path
 
 import pytest
 
 from repro.cli import main
-from repro.durable import encode
+from repro.durable import SCRUB_SCHEMA, encode
 from repro.experiments.checkpoint import (
     JOURNAL_VERSION,
     CheckpointJournal,
@@ -56,6 +57,9 @@ JOURNALED = {
     _fp("cell-b"): {"cell": 1, "average_power": 0.375, "revision": 1},
 }
 
+#: The counts every scrub report carries.
+COUNTS = ("scanned", "intact", "corrupt", "repaired")
+
 #: The seed event log's intact gapless prefix.
 EVENTS = [
     {"seq": 1, "kind": "cell", "data": {"cell": 0, "average_power": 0.5}},
@@ -82,12 +86,12 @@ class TestJournal:
     def test_scrub_and_gc_counts(self, seed):
         checkpoint = seed / "checkpoint"
         scrub = scrub_journal(checkpoint)
-        assert (scrub.records, scrub.intact, scrub.corrupt) == (4, 3, 1)
+        assert (scrub["scanned"], scrub["intact"], scrub["corrupt"]) == (4, 3, 1)
         gc = gc_journal(checkpoint, dry_run=True)
         assert (gc.lines_total, gc.kept, gc.superseded, gc.corrupt) == (4, 2, 1, 1)
 
         repaired = scrub_journal(checkpoint, repair=True)
-        assert repaired.dropped == 1
+        assert repaired["repaired"] == 1
         gc = gc_journal(checkpoint)
         assert (gc.lines_total, gc.kept, gc.dropped) == (3, 2, 1)
         assert gc.bytes_after == (checkpoint / "journal.jsonl").stat().st_size
@@ -133,26 +137,23 @@ class TestCampaignStore:
             line + b"\n" for line in path.read_bytes().split(b"\n")[: len(EVENTS)]
         )
         report = store.scrub()
-        assert {k: report[k] for k in (
-            "manifests", "manifests_corrupt", "event_logs", "events",
-            "events_corrupt", "logs_truncated",
-        )} == {
-            "manifests": 1, "manifests_corrupt": 0, "event_logs": 1,
-            "events": 4, "events_corrupt": 1, "logs_truncated": 0,
+        # One manifest plus four event lines, the torn fourth corrupt.
+        assert {k: report[k] for k in COUNTS} == {
+            "scanned": 5, "intact": 4, "corrupt": 1, "repaired": 0,
         }
         assert report["problems"] == [
             {"path": str(path), "reason": "torn-suffix:1-records"}
         ]
         assert store.repair_log(CAMPAIGN) == EVENTS
         assert path.read_bytes() == intact
-        assert store.scrub()["events_corrupt"] == 0
+        assert store.scrub()["corrupt"] == 0
 
 
 class TestCache:
     def test_scrub_counts(self, seed):
         report = scrub_cache(seed / "cache")
-        assert (report.scanned, report.intact, report.corrupt) == (2, 1, 1)
-        assert report.problems == [
+        assert (report["scanned"], report["intact"], report["corrupt"]) == (2, 1, 1)
+        assert report["problems"] == [
             {
                 "path": str(seed / "cache" / BAD[:2] / f"{BAD}.json"),
                 "reason": "checksum-mismatch",
@@ -163,7 +164,7 @@ class TestCache:
         cache = ResultCache(memory_items=0, disk_dir=seed / "cache")
         assert cache.get(GOOD) == {"ok": True, "average_power": 0.5, "misses": 0}
         assert cache.get(BAD) is None
-        assert scrub_cache(seed / "cache").corrupt == 0  # the read swept it
+        assert scrub_cache(seed / "cache")["corrupt"] == 0  # the read swept it
 
 
 class TestCacheVerifyCli:
@@ -190,6 +191,25 @@ class TestCacheVerifyCli:
         assert self._verify(seed) == 0
         out = capsys.readouterr().out
         assert "checksum-mismatch" not in out and "torn-suffix" not in out
+
+    def test_json_reports_are_scrub_documents(self, seed, capsys):
+        def counts():
+            documents = json.loads(capsys.readouterr().out)
+            assert {d["schema"] for d in documents} == {SCRUB_SCHEMA}
+            return {d["kind"]: tuple(d[k] for k in COUNTS) for d in documents}
+
+        assert self._verify(seed, "--json") == 1
+        assert counts() == {
+            "cache": (2, 1, 1, 0), "journal": (4, 3, 1, 0), "campaign": (5, 4, 1, 0),
+        }
+        assert self._verify(seed, "--json", "--repair") == 0
+        assert counts() == {
+            "cache": (2, 1, 1, 1), "journal": (4, 3, 1, 1), "campaign": (5, 4, 1, 1),
+        }
+        assert self._verify(seed, "--json") == 0
+        assert counts() == {
+            "cache": (1, 1, 0, 0), "journal": (3, 3, 0, 0), "campaign": (4, 4, 0, 0),
+        }
 
     def test_nothing_to_verify_exits_2(self, capsys):
         assert main(["cache", "verify"]) == 2

@@ -82,8 +82,8 @@ def test_load_events_is_always_the_committed_prefix(ops):
                 clean = True
             elif op == "scrub":
                 report = store.scrub(repair=True)
-                assert report["events"] - report["events_corrupt"] == len(committed)
-                assert store.scrub()["events_corrupt"] == 0
+                assert report["intact"] == len(committed)
+                assert store.scrub()["corrupt"] == 0
                 clean = True
             else:
                 store.close()

@@ -95,7 +95,7 @@ def test_gc_and_scrub_are_idempotent(ops):
         scrub_journal(directory, repair=True)
         bytes_after_scrub = path.read_bytes() if path.exists() else b""
         again = scrub_journal(directory, repair=True)
-        assert again.corrupt == 0
+        assert again["corrupt"] == 0
         assert (path.read_bytes() if path.exists() else b"") == bytes_after_scrub
 
         first_gc = gc_journal(directory)
@@ -119,5 +119,5 @@ def test_scrub_report_accounts_for_every_line(ops):
         directory = Path(tmp)
         _apply(directory, ops)
         report = scrub_journal(directory)  # report-only
-        assert report.records == report.intact + report.corrupt
-        assert report.dropped == 0  # without repair nothing is touched
+        assert report["scanned"] == report["intact"] + report["corrupt"]
+        assert report["repaired"] == 0  # without repair nothing is touched

@@ -9,14 +9,10 @@ from __future__ import annotations
 
 import json
 
+from repro.durable import SCRUB_SCHEMA, ScrubReport
 from repro.faults.chaos import flip_bytes, tear_file
 from repro.obs.registry import Registry
-from repro.service.cache import (
-    QUARANTINE_DIR,
-    CacheScrubReport,
-    ResultCache,
-    scrub_cache,
-)
+from repro.service.cache import QUARANTINE_DIR, ResultCache, scrub_cache
 
 
 def _key(i: int) -> str:
@@ -40,13 +36,13 @@ class TestDetection:
         keys = _seed(tmp_path)
         report = scrub_cache(tmp_path)
         assert report.clean
-        assert report.scanned == len(keys)
-        assert report.intact == len(keys)
-        assert report.corrupt == 0
+        assert report["scanned"] == len(keys)
+        assert report["intact"] == len(keys)
+        assert report["corrupt"] == 0
 
     def test_missing_directory_is_a_clean_noop(self, tmp_path):
         report = scrub_cache(tmp_path / "never-created")
-        assert report.clean and report.scanned == 0
+        assert report.clean and report["scanned"] == 0
 
     def test_detects_every_chaos_injected_defect(self, tmp_path):
         # One of each failure class the chaos harness can inject, plus
@@ -68,9 +64,9 @@ class TestDetection:
         broken.add(keys[5])
 
         report = scrub_cache(tmp_path)
-        assert report.scanned == len(keys)
-        assert report.corrupt == len(broken)
-        flagged = {p["path"] for p in report.problems}
+        assert report["scanned"] == len(keys)
+        assert report["corrupt"] == len(broken)
+        flagged = {p["path"] for p in report["problems"]}
         assert flagged == {str(_path(tmp_path, k)) for k in broken}
 
     def test_flipped_byte_that_still_parses_is_caught(self, tmp_path):
@@ -81,8 +77,8 @@ class TestDetection:
         document["payload"]["cell"] = 12345
         _path(tmp_path, key).write_text(json.dumps(document))
         report = scrub_cache(tmp_path)
-        assert report.corrupt == 1
-        assert report.problems[0]["reason"] == "checksum-mismatch"
+        assert report["corrupt"] == 1
+        assert report["problems"][0]["reason"] == "checksum-mismatch"
 
 
 class TestRepair:
@@ -92,7 +88,7 @@ class TestRepair:
         flip_bytes(_path(tmp_path, keys[1]), seed=2)
 
         report = scrub_cache(tmp_path, repair=True)
-        assert report.corrupt == 2 and report.quarantined == 2
+        assert report["corrupt"] == 2 and report["repaired"] == 2
         assert not _path(tmp_path, keys[0]).exists()
         assert not _path(tmp_path, keys[1]).exists()
         # Evidence survives in the pen...
@@ -111,23 +107,23 @@ class TestRepair:
         tear_file(_path(tmp_path, keys[0]), seed=7)
         first = scrub_cache(tmp_path, repair=True)
         second = scrub_cache(tmp_path, repair=True)
-        assert first.quarantined == 1
-        assert second.clean and second.quarantined == 0
-        assert second.scanned == len(keys) - 1
+        assert first["repaired"] == 1
+        assert second.clean and second["repaired"] == 0
+        assert second["scanned"] == len(keys) - 1
 
     def test_quarantine_dir_is_not_rescanned(self, tmp_path):
         keys = _seed(tmp_path)
         flip_bytes(_path(tmp_path, keys[0]), seed=4)
         scrub_cache(tmp_path, repair=True)
         report = scrub_cache(tmp_path)
-        assert report.scanned == len(keys) - 1
+        assert report["scanned"] == len(keys) - 1
         assert report.clean
 
     def test_without_repair_nothing_moves(self, tmp_path):
         keys = _seed(tmp_path)
         tear_file(_path(tmp_path, keys[0]), seed=6)
         report = scrub_cache(tmp_path, repair=False)
-        assert report.corrupt == 1 and report.quarantined == 0
+        assert report["corrupt"] == 1 and report["repaired"] == 0
         assert _path(tmp_path, keys[0]).exists()
 
 
@@ -137,18 +133,19 @@ class TestObsAndReport:
         tear_file(_path(tmp_path, keys[0]), seed=9)
         registry = Registry()
         scrub_cache(tmp_path, repair=True, obs=registry)
-        assert registry.counter_value("cache.scrub_scanned") == len(keys)
-        assert registry.counter_value("cache.scrub_intact") == len(keys) - 1
-        assert registry.counter_value("cache.scrub_corrupt") == 1
-        assert registry.counter_value("cache.scrub_quarantined") == 1
+        assert registry.counter_value("scrub.cache.scanned") == len(keys)
+        assert registry.counter_value("scrub.cache.intact") == len(keys) - 1
+        assert registry.counter_value("scrub.cache.corrupt") == 1
+        assert registry.counter_value("scrub.cache.repaired") == 1
 
     def test_report_document_and_render(self, tmp_path):
         keys = _seed(tmp_path, count=2)
         tear_file(_path(tmp_path, keys[1]), seed=2)
         report = scrub_cache(tmp_path)
-        document = report.to_document()
-        assert document["kind"] == "cache-scrub"
+        assert isinstance(report, ScrubReport)
+        document = json.loads(json.dumps(report))
+        assert document["schema"] == SCRUB_SCHEMA
+        assert document["kind"] == "cache"
         assert document["scanned"] == 2 and document["corrupt"] == 1
-        assert isinstance(report, CacheScrubReport)
         text = report.render()
         assert "scanned 2" in text and "1 corrupt" in text

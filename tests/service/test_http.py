@@ -140,6 +140,31 @@ class TestQuery:
             assert payload["error_kind"] in ERROR_KINDS
 
 
+def _inline(**task):
+    return {"kind": "energy", "duration": 4_000.0,
+            "tasks": [{"name": "a", "wcet": 100, "period": 1_000, **task}]}
+
+
+@pytest.fixture(scope="module")
+def send():
+    service = ScheduleService(jobs=1)
+    yield broker_send(service)
+    service.close()
+
+
+@pytest.mark.parametrize("body", [
+    {**ENERGY, "record_trace": "false"},
+    {**ENERGY, "seed": 7.9},
+    _inline(wcet=True),
+    {**ENERGY, "bcet_ratio": True},
+    _inline(priority=1.7),
+], ids=["record_trace-string", "seed-float", "wcet-bool", "bcet_ratio-bool",
+        "priority-float"])
+def test_mistyped_field_is_400_not_coerced(send, body):
+    status, payload = send(body)
+    assert status == 400, payload
+
+
 def test_admission_overflow_returns_503_with_retry_after():
     guards = ServiceGuards(max_pending=1, batch_window_s=0.5)
     service = ScheduleService(guards=guards, jobs=1)

@@ -85,7 +85,7 @@ class TestCampaignStore:
         # suspect (its durability ordering is gone), so only seq 1 loads.
         assert [e["seq"] for e in store.load_events("c1")] == [1]
 
-    def test_scrub_repair_truncates_event_logs(self, tmp_path):
+    def test_scrub_repair_truncates_a_torn_event_log(self, tmp_path):
         store = CampaignStore(tmp_path)
         store.write_manifest("c1", {"meta": {}})
         store.append_event("c1", {"seq": 1, "kind": "cell", "data": {}})
@@ -94,11 +94,11 @@ class TestCampaignStore:
             handle.write(b"garbage\n")
         obs = Registry()
         report = store.scrub(repair=True, obs=obs)
-        assert report["events_corrupt"] == 1
-        assert report["logs_truncated"] == 1
-        assert obs.counter_value("cache.scrub_events_truncated") == 1
+        assert report["corrupt"] == 1
+        assert report["repaired"] == 1
+        assert obs.counter_value("scrub.campaign.repaired") == 1
         # The log is now fully intact: a re-scrub finds nothing.
-        assert store.scrub()["events_corrupt"] == 0
+        assert store.scrub()["corrupt"] == 0
         assert [e["seq"] for e in store.load_events("c1")] == [1]
 
     def test_scrub_repair_quarantines_corrupt_manifest(self, tmp_path):
@@ -106,9 +106,9 @@ class TestCampaignStore:
         store.write_manifest("c1", {"meta": {}})
         store.manifest_path("c1").write_text("{not json")
         report = store.scrub(repair=True)
-        assert report["manifests_corrupt"] == 1
+        assert report["corrupt"] == 1
         assert store.load_manifest("c1") is None
-        assert store.scrub()["manifests"] == 0
+        assert store.scrub()["scanned"] == 0
 
     def test_scrub_survives_an_unreadable_event_log(self, tmp_path):
         store = CampaignStore(tmp_path)
@@ -119,7 +119,7 @@ class TestCampaignStore:
         # one bad file must not stop the server from starting.
         (store.campaigns_dir / "cbad.events.jsonl").mkdir()
         report = store.scrub(repair=True)
-        assert report["event_logs"] == 2
+        assert report["scanned"] == report["intact"] == 1  # cgood's event
         assert any(
             problem["reason"].startswith("unreadable:")
             for problem in report["problems"]
@@ -157,8 +157,8 @@ class TestCrossProcessLeases:
 
         sibling = CampaignStore(tmp_path)
         report = sibling.scrub(repair=True)
-        assert report["events_corrupt"] == 1
-        assert report["logs_truncated"] == 0
+        assert report["corrupt"] == 1
+        assert report["repaired"] == 0
         assert any(
             problem["reason"] == "repair-skipped:lease-held"
             for problem in report["problems"]
@@ -168,7 +168,7 @@ class TestCrossProcessLeases:
         owner.release_lease("c1")
         # Once the owner is gone the torn line is repairable as usual.
         report = sibling.scrub(repair=True)
-        assert report["logs_truncated"] == 1
+        assert report["repaired"] == 1
         assert [e["seq"] for e in sibling.load_events("c1")] == [1]
 
     def test_submit_attaches_when_a_sibling_owns_the_campaign(self, tmp_path):

@@ -21,6 +21,7 @@ import urllib.request
 import pytest
 
 from repro.cli import main
+from repro.service.supervisor import free_port
 
 REPO = pathlib.Path(__file__).resolve().parent.parent
 QUERY = {"kind": "energy", "app": "example", "duration": 400.0}
@@ -171,3 +172,11 @@ class TestQueryCommand:
         assert main(argv) == 0
         second = json.loads(capsys.readouterr().out)
         assert first == second
+
+    @pytest.mark.parametrize("attempts", ["1", "2"])
+    def test_dead_endpoint_is_an_error_not_a_traceback(self, attempts, capsys):
+        url = f"http://127.0.0.1:{free_port()}"  # nothing listens here
+        assert main([
+            "query", "--app", "cnc", "--url", url, "--max-attempts", attempts,
+        ]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
