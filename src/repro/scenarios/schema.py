@@ -29,7 +29,6 @@ Three layers, strictly ordered:
 
 from __future__ import annotations
 
-import hashlib
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -40,6 +39,7 @@ from ..analysis.weakly_hard import (
     coerce_constraint,
     weakly_hard_demand,
 )
+from ..durable import checksum
 from ..errors import ConfigurationError
 from ..faults.guards import MISS_POLICIES, GuardConfig
 from ..faults.injectors import available_injectors, make_injector
@@ -272,8 +272,7 @@ class Scenario:
                 "duration": num(self.campaign.duration),
             },
         }
-        canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return checksum(payload)
 
 
 _TOP_KEYS = (

@@ -46,7 +46,7 @@ from .fleet import FleetClient
 from .query import Query, QueryError, parse_query
 from .results import encode_result, execute_analytic
 from .retry import CircuitBreaker, CircuitOpenError, RetryPolicy, RetryingClient
-from .server import ScheduleService, serve_forever
+from .server import ScheduleService
 from .supervisor import FleetError, FleetSupervisor, RestartBudget
 
 __all__ = [
@@ -67,5 +67,4 @@ __all__ = [
     "execute_analytic",
     "fingerprint",
     "parse_query",
-    "serve_forever",
 ]

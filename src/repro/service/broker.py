@@ -21,12 +21,13 @@ Requests flow through four gates:
    campaign, which amortises dispatch overhead and fans out over worker
    processes under the shared ``jobs`` convention (``0`` = auto).
 
-Failure containment mirrors ``faults/guards``: a batch whose campaign
-raises is retried serially cell-by-cell, so one poisoned query cannot
-take down its batch neighbours; deterministic refusals become cacheable
-error payloads; per-request timeouts (:class:`RequestTimeout`, HTTP
-504) abandon the *wait*, never the computation — the late answer still
-lands in the cache for the retry.
+Failure containment mirrors ``faults/guards``: the batch runs with
+per-cell containment and only the cells that failed rerun, one by one
+on the reference path, so one poisoned query cannot take down its batch
+neighbours; deterministic refusals become cacheable error payloads;
+per-request timeouts (:class:`RequestTimeout`, HTTP 504) abandon the
+*wait*, never the computation — the late answer still lands in the
+cache for the retry.
 """
 
 from __future__ import annotations
@@ -37,14 +38,14 @@ from concurrent.futures import Future, TimeoutError as FutureTimeout
 from dataclasses import dataclass
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
-from ..errors import ConfigurationError, ReproError, ServiceError
+from ..errors import ConfigurationError, ServiceError
 from ..experiments.runner import resolve_jobs, run_many
 from ..obs.instruments import percentile
 from ..obs.registry import Registry, install
 from .cache import ResultCache
 from .fingerprint import fingerprint
 from .query import Query
-from .results import encode_result, error_payload, execute_analytic
+from .results import encode_result, execute_analytic, execute_query
 
 #: Request counters, registered at 0 so a fresh registry lists them.
 COUNTERS = (
@@ -339,24 +340,31 @@ class Broker:
         )
         payloads: Dict[str, dict] = {}
         failures: Dict[str, BaseException] = {}
+        rerun: List[Tuple[str, Query]] = []
         try:
             with obs.span("broker.dispatch"):
                 results = run_many(
-                    [query.to_runspec() for _, query in batch], jobs=self.jobs
+                    [query.to_runspec() for _, query in batch],
+                    jobs=self.jobs,
+                    failures="contain",
                 )
             with obs.span("broker.serialize"):
                 for (key, query), result in zip(batch, results):
-                    payloads[key] = encode_result(query, result)
-        except BaseException:  # noqa: BLE001 - contained below
-            # One bad cell must not fail its batch neighbours: rerun
-            # serially with per-cell containment (the guard idiom).
-            obs.count("fallbacks")
+                    if result.failed:
+                        rerun.append((key, query))
+                    else:
+                        payloads[key] = encode_result(query, result)
+        except Exception:  # noqa: BLE001 - contained below
+            rerun = [(key, query) for key, query in batch if key not in payloads]
+        if rerun:
+            # One bad cell must not fail its batch neighbours: only the
+            # failed cells rerun, on the reference path, which turns a
+            # deterministic refusal into its cacheable error payload.
+            obs.count("fallbacks", len(rerun))
             with obs.span("broker.dispatch"):
-                for key, query in batch:
+                for key, query in rerun:
                     try:
-                        payloads[key] = encode_result(query, query.to_runspec().run())
-                    except ReproError as exc:
-                        payloads[key] = error_payload(query, exc)
+                        payloads[key] = execute_query(query)
                     except BaseException as exc:  # noqa: BLE001
                         failures[key] = exc
         self._complete(payloads, failures)

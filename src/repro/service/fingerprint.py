@@ -21,10 +21,9 @@ dedupe serve one computation to many callers.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import Any, Dict, List
 
+from ..durable import checksum
 from .query import Query
 
 #: Bumped whenever the canonical payload layout changes, so stale disk
@@ -63,12 +62,7 @@ def canonical_tasks(taskset) -> List[Dict[str, Any]]:
 
 def taskset_fingerprint(taskset) -> str:
     """SHA-256 over the canonical task list alone (the workload identity)."""
-    canonical = json.dumps(
-        {"v": FINGERPRINT_VERSION, "tasks": canonical_tasks(taskset)},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return checksum({"v": FINGERPRINT_VERSION, "tasks": canonical_tasks(taskset)})
 
 
 def canonical_payload(query: Query) -> Dict[str, Any]:
@@ -87,7 +81,4 @@ def canonical_payload(query: Query) -> Dict[str, Any]:
 
 def fingerprint(query: Query) -> str:
     """SHA-256 hex digest of the canonical payload — the cache key."""
-    canonical = json.dumps(
-        canonical_payload(query), sort_keys=True, separators=(",", ":")
-    )
-    return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    return checksum(canonical_payload(query))

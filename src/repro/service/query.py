@@ -157,7 +157,7 @@ def build_query(
     )
 
 
-def _typed(check: Callable[[Any, str], Any], value: Any, path: str) -> Any:
+def _typed(check: Callable[..., Any], value: Any, path: str, **bounds: bool) -> Any:
     """*value* through a scenario-schema type *check*, else :class:`QueryError`.
 
     JSON types are taken literally: a bool is not a number and a float
@@ -165,7 +165,7 @@ def _typed(check: Callable[[Any, str], Any], value: Any, path: str) -> Any:
     into another request's answer.
     """
     try:
-        return check(value, path)
+        return check(value, path, **bounds)
     except ConfigurationError as exc:
         raise QueryError(str(exc)) from None
 

@@ -25,7 +25,7 @@ transport in the broker.  Endpoints:
   ``{"scenario": {...}}``) and launch its campaign on a background
   thread; answers with the campaign id and its stream path.
 * ``GET /v1/stream/{campaign_id}`` — Server-Sent Events: replays the
-  campaign's buffered progress events, then tails live until done.
+  campaign's logged progress events, then tails live until done.
 """
 
 from __future__ import annotations
@@ -45,7 +45,7 @@ from ..obs.registry import Registry, install
 from .broker import AdmissionError, Broker, RequestTimeout, ServiceGuards
 from .cache import ResultCache, scrub_cache
 from .durability import CampaignStore, campaign_key
-from .query import Query, QueryError, parse_query
+from .query import Query, QueryError, _typed, parse_query
 from .stream import CampaignEvicted, CampaignHub, TERMINAL_KINDS, sse_render
 
 #: Kernel paths a scenario campaign may request.
@@ -120,7 +120,6 @@ class ScheduleService:
                 store.gc(obs=self.obs)
         #: Live scenario-campaign event logs, served by ``/v1/stream``.
         self.campaigns = CampaignHub(obs=self.obs, store=store)
-        self.campaigns.load_persisted()
         self._campaign_lock = threading.Lock()
         #: Campaign ids with a runner thread alive in *this* process.
         self._active_campaigns: set = set()
@@ -139,14 +138,9 @@ class ScheduleService:
         request = dict(request)
         timeout = request.pop("timeout_s", None)
         if timeout is not None:
-            try:
-                timeout = float(timeout)
-            except (TypeError, ValueError):
-                raise QueryError(
-                    f"timeout_s must be a number, got {timeout!r}"
-                ) from None
-            if timeout <= 0:
-                raise QueryError(f"timeout_s must be > 0, got {timeout}")
+            from ..scenarios.schema import _number  # the schema imports us
+
+            timeout = _typed(_number, timeout, "timeout_s", positive=True)
         return self.query(parse_query(request), timeout=timeout)
 
     def submit_scenario(self, request: Mapping[str, Any]) -> Dict[str, Any]:
@@ -245,11 +239,7 @@ class ScheduleService:
                 payload.update(state="running", attached=True)
                 return payload
             # Adoption: we now own whatever the previous owner durably
-            # wrote.  Truncate any crash-torn tail *before* we ever
-            # append (appending after a corrupt line would strand every
-            # later event beyond the readable prefix) and fold the
-            # durable tail into our possibly-stale fast copy so new seq
-            # numbers continue the on-disk log, not our replay of it.
+            # wrote, and the next publish continues its log.
             snapshot = self._adopt(store, campaign_id)
             if snapshot is not None and snapshot["state"] in TERMINAL_KINDS:
                 # The previous owner had in fact finished it.
@@ -290,9 +280,13 @@ class ScheduleService:
     def _adopt(
         self, store: CampaignStore, campaign_id: str
     ) -> Optional[Dict[str, Any]]:
-        """Repair a just-leased campaign's log and re-sync the fast copy."""
+        """Repair a just-leased campaign's log; its snapshot after that.
+
+        The torn tail a crashed owner left must go *before* we append:
+        appending after a corrupt line would strand every later event
+        beyond the readable prefix.
+        """
         store.repair_log(campaign_id)
-        self.campaigns.refresh(campaign_id)
         return self._snapshot(campaign_id)
 
     def _launch_campaign(
@@ -343,8 +337,8 @@ class ScheduleService:
     def resume_campaigns(self) -> list:
         """Relaunch every orphaned campaign found in the checkpoint dir.
 
-        An orphan is a persisted manifest whose replayed event log has
-        no terminal event and no runner in this process — exactly what a
+        An orphan is a persisted manifest whose event log has no
+        terminal event and no runner in this process — exactly what a
         crashed (or supervisor-restarted) replica leaves behind.  Each
         one is re-parsed from its manifest's canonical scenario document
         and resumed through the checkpoint journal, so committed cells
@@ -356,7 +350,6 @@ class ScheduleService:
         store = self.campaigns.store
         if store is None:
             return []
-        self.campaigns.load_persisted()
         resumed = []
         for campaign_id, manifest in store.list_manifests().items():
             with self._campaign_lock:
@@ -372,10 +365,8 @@ class ScheduleService:
                     # campaign and is (still) running it.  Adopting it
                     # here would put two writers on one event log.
                     continue
-                # Same adoption step as submit_scenario: repair the torn
-                # tail before appending, re-sync the fast copy, and
-                # re-check — the durable tail may contain the terminal
-                # event our startup replay predated.
+                # Same adoption step as submit_scenario, then re-check:
+                # the owner may have finished it since the first read.
                 snapshot = self._adopt(store, campaign_id)
                 if (
                     snapshot is None
@@ -482,7 +473,7 @@ class _Handler(BaseHTTPRequestHandler):
         """Serve one campaign's event log as Server-Sent Events.
 
         The response is EOF-delimited (``Connection: close``, no
-        Content-Length): buffered events replay immediately, live events
+        Content-Length): logged events replay immediately, live events
         follow as the executor commits cells, and the stream ends after
         the terminal ``done``/``error`` event.  ``?after=N`` resumes
         past the first N events, so a dropped consumer can reconnect
@@ -664,27 +655,3 @@ def running_server(
         server.shutdown()
         thread.join(timeout=10.0)
         server.server_close()
-
-
-def serve_forever(
-    service: ScheduleService,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    ready: Optional["threading.Event"] = None,
-    announce=None,
-) -> ServiceHTTPServer:
-    """Blocking serve loop for the CLI; returns after :meth:`shutdown`.
-
-    *announce*, when given, is called with the bound URL before serving
-    — the CLI prints it so callers binding port 0 learn the real port.
-    """
-    server = make_server(service, host, port)
-    if announce is not None:
-        announce(server.url)
-    if ready is not None:
-        ready.set()
-    try:
-        server.serve_forever()
-    finally:
-        server.server_close()
-    return server

@@ -2,41 +2,41 @@
 
 A scenario campaign submitted to the service runs on a background
 thread; every cell the executor commits becomes one sequenced event in
-this hub.  Subscribers (the SSE endpoint, in-process observers, tests)
-read the same ordered log: a late subscriber first *replays* the buffered
-prefix, then *tails* live until the terminal event — so the stream is a
-replayable record, not a lossy broadcast.
+the campaign's event log.  Subscribers (the SSE endpoint, in-process
+observers, tests) read that ordered log: a late subscriber first
+*replays* the prefix, then *tails* live until the terminal event — so
+the stream is a replayable record, not a lossy broadcast.
 
 The hub is deliberately transport-free: it knows nothing about HTTP.
 ``/v1/stream/{campaign_id}`` renders its events as Server-Sent Events;
 anything else (a CLI follower, a test) iterates :meth:`CampaignHub.subscribe`
 directly.
 
-Two orthogonal hardening layers (this PR):
+The event log is the only copy of a campaign's events, and every read
+goes to it:
 
 * **Durability** — with a :class:`~repro.service.durability.CampaignStore`
-  attached, every event is fsynced to the campaign's on-disk log
-  *before* subscribers see it, and :meth:`CampaignHub.load_persisted`
-  replays the logs after a restart, so ``?after=N`` reconnects across a
-  server crash are gapless and duplicate-free.  Cell events deduplicate
-  by cell index: when a resumed campaign's checkpoint prefill re-fires
-  cells that already streamed before the crash, the hub drops the
-  duplicates instead of re-sequencing them.  The contract is honest
-  about failure, too: if the disk rejects an append, the event is
-  *never* shown to subscribers — the campaign fails loudly
-  (``stream.durability_degraded``) rather than stream state a crash
-  would silently erase.
-* **Bounded retention** — finished campaigns are evicted after
+  attached, the log is the campaign's fsynced on-disk log: an event is
+  appended *before* subscribers see it, reads reload the log, and a
+  subscriber re-reads it every ``poll_s``, so ``?after=N`` reconnects
+  across a server crash are gapless and duplicate-free and a replica
+  follows a sibling's campaign over a shared checkpoint dir.  Cell
+  events deduplicate by cell index: when a resumed campaign's
+  checkpoint prefill re-fires cells that already streamed before the
+  crash, the hub drops the duplicates instead of re-sequencing them.
+  The contract is honest about failure, too: if the disk rejects an
+  append, the event is *never* shown to subscribers — the campaign
+  fails loudly (``stream.durability_degraded``) rather than stream
+  state a crash would silently erase.
+* **Bounded retention** — without a store the log is a
+  :class:`MemoryLog`.  Finished campaigns are evicted after
   ``finished_ttl_s`` seconds or beyond ``max_finished`` entries
   (oldest-finished first), counted as ``stream.evictions``.  An evicted
   id raises :class:`CampaignEvicted` (the HTTP layer's 410) carrying a
-  resume hint; with a store attached the hub transparently reloads the
-  campaign from disk instead, so eviction only ever forgets the fast
-  copy.  Disk retention is bounded separately: :meth:`CampaignHub.reap`
-  also garbage-collects long-finished on-disk logs through
-  :meth:`CampaignStore.gc`, and :meth:`CampaignHub.load_persisted`
-  skips terminal campaigns already past the in-memory TTL, so restart
-  replay cost does not grow with deployment age.
+  resume hint; with a store an evicted campaign stays readable for as
+  long as its manifest is on disk.  Disk retention is bounded
+  separately: :meth:`CampaignHub.reap` also garbage-collects
+  long-finished on-disk logs through :meth:`CampaignStore.gc`.
 """
 
 from __future__ import annotations
@@ -82,53 +82,86 @@ class CampaignEvicted(KeyError):
         self.hint = hint
 
 
+class MemoryLog:
+    """The event log of a hub without a checkpoint dir.
+
+    The ``append_event``/``load_events`` pair of
+    :class:`~repro.service.durability.CampaignStore`, kept in process
+    memory, so the hub reads every campaign's events the same way.
+    """
+
+    def __init__(self) -> None:
+        self._events: Dict[str, List[Dict[str, Any]]] = {}
+
+    def append_event(self, campaign_id: str, event: Dict[str, Any]) -> bool:
+        self._events.setdefault(campaign_id, []).append(event)
+        return True
+
+    def load_events(self, campaign_id: str) -> List[Dict[str, Any]]:
+        return list(self._events.get(campaign_id, ()))
+
+    def forget(self, campaign_id: str) -> None:
+        self._events.pop(campaign_id, None)
+
+
+def _state(events: List[Dict[str, Any]]) -> str:
+    """A campaign's state: the kind of its last event once terminal."""
+    if events and events[-1]["kind"] in TERMINAL_KINDS:
+        return events[-1]["kind"]
+    return "running"
+
+
 class _Campaign:
-    """One campaign's ordered event log plus its lifecycle state."""
+    """What the hub keeps of a campaign besides its events.
 
-    __slots__ = ("id", "meta", "events", "state", "created_s", "finished_s",
-                 "seen_cells")
+    Its meta, and the writer's state — the last seq and the seen cells
+    — derived from the log when this process creates or adopts the
+    campaign: only the lease holder appends, so nobody else moves the
+    log's tail under it.  ``lost`` holds a terminal event the store
+    refused, the one event that is not read from the log.
+    """
 
-    def __init__(self, campaign_id: str, meta: Dict[str, Any]):
+    __slots__ = ("id", "meta", "seq", "state", "seen_cells", "lost",
+                 "created_s", "finished_s")
+
+    def __init__(
+        self, campaign_id: str, meta: Dict[str, Any], events: List[Dict[str, Any]]
+    ):
         self.id = campaign_id
         self.meta = meta
-        self.events: List[Dict[str, Any]] = []
+        self.seq = 0
         self.state = "running"
-        self.created_s = time.time()
-        self.finished_s: Optional[float] = None
         #: cell index -> seq of the event that first reported it; the
         #: dedupe map that makes checkpoint-prefill replays idempotent.
         self.seen_cells: Dict[int, int] = {}
+        self.lost: Optional[Dict[str, Any]] = None
+        self.created_s = time.time()
+        self.finished_s: Optional[float] = None
+        for event in events:
+            self.record(event)
 
     @property
     def done(self) -> bool:
         return self.state != "running"
 
-    def snapshot(self) -> Dict[str, Any]:
-        return {
-            "campaign_id": self.id,
-            "state": self.state,
-            "events": len(self.events),
-            "meta": dict(self.meta),
-        }
-
-    def append(self, kind: str, data: Dict[str, Any]) -> Dict[str, Any]:
-        seq = len(self.events) + 1
-        event = {"seq": seq, "kind": kind, "data": dict(data)}
-        self.events.append(event)
-        if kind == "cell" and isinstance(data.get("cell"), int):
-            self.seen_cells.setdefault(data["cell"], seq)
-        if kind in TERMINAL_KINDS:
-            self.state = kind
+    def record(self, event: Dict[str, Any]) -> None:
+        """Advance the writer state past one appended event."""
+        self.seq = event["seq"]
+        cell = event["data"].get("cell")
+        if event["kind"] == "cell" and isinstance(cell, int):
+            self.seen_cells.setdefault(cell, self.seq)
+        if event["kind"] in TERMINAL_KINDS:
+            self.state = event["kind"]
             self.finished_s = time.time()
-        return event
 
 
 class CampaignHub:
-    """Thread-safe registry of streaming campaigns.
+    """Thread-safe registry of streaming campaigns over one event log.
 
     One condition variable serialises publishes and wakes every waiting
     subscriber; events are small dicts and campaigns are cell-bounded,
-    so the whole log is kept for replay (``?after=N`` resumption).
+    so every read simply loads the campaign's whole log (``?after=N``
+    resumption slices it).
     """
 
     def __init__(
@@ -144,6 +177,7 @@ class CampaignHub:
         self._ids = itertools.count(1)
         self._obs = obs if obs is not None else Registry()
         self._store = store
+        self._log: Any = store if store is not None else MemoryLog()
         self._max_finished = max_finished
         self._finished_ttl_s = finished_ttl_s
 
@@ -169,77 +203,13 @@ class CampaignHub:
                 raise ConfigurationError(
                     f"campaign {campaign_id!r} already exists"
                 )
-            self._campaigns[campaign_id] = _Campaign(campaign_id, dict(meta))
+            self._campaigns[campaign_id] = _Campaign(
+                campaign_id, dict(meta), self._log.load_events(campaign_id)
+            )
             self._evicted.pop(campaign_id, None)
             self._evict_finished()
             self._obs.count("stream.campaigns")
         return campaign_id
-
-    def load_persisted(self) -> List[str]:
-        """Recover every persisted campaign from the attached store.
-
-        Replays each on-disk event log into a fresh in-memory campaign
-        (state follows the last replayed event), so subscribers can
-        resume with ``?after=N`` exactly where the crashed process left
-        them.  Returns the recovered ids; campaigns already resident are
-        left untouched.  A no-op without a store.
-        """
-        if self._store is None:
-            return []
-        recovered: List[str] = []
-        now = time.time()
-        for campaign_id, manifest in self._store.list_manifests().items():
-            with self._lock:
-                if campaign_id in self._campaigns:
-                    continue
-                campaign = self._replay(campaign_id, manifest)
-                if campaign.done and self._finished_ttl_s is not None:
-                    # A finished campaign already past the in-memory TTL
-                    # would be evicted on the next reap anyway; leave it
-                    # on disk (reads reload it on demand) instead of
-                    # paying restart replay memory for it.
-                    try:
-                        age = now - (
-                            self._store.events_path(campaign_id)
-                            .stat().st_mtime
-                        )
-                    except OSError:
-                        age = 0.0
-                    if age > self._finished_ttl_s:
-                        continue
-                self._campaigns[campaign_id] = campaign
-                self._evicted.pop(campaign_id, None)
-                self._obs.count("stream.campaigns_recovered")
-                recovered.append(campaign_id)
-        with self._lock:
-            self._evict_finished()
-        return recovered
-
-    def refresh(self, campaign_id: str) -> None:
-        """Re-sync one campaign's in-memory copy from the durable log.
-
-        The adoption step for a live fleet hand-off: a replica that just
-        took a campaign's lease may hold a *stale* fast copy replayed at
-        its own startup, while the previous owner kept appending durably
-        until it died.  Disk events beyond the in-memory log are
-        appended (waking subscribers); the in-memory copy is never
-        truncated — it can only be ahead of disk when this process is
-        itself the writer, in which case disk is the stale side.  A
-        no-op without a store or for an unknown id.
-        """
-        if self._store is None:
-            return
-        with self._lock:
-            campaign = self._campaigns.get(campaign_id)
-            if campaign is None or campaign.done:
-                return
-            events = self._store.load_events(campaign_id)
-            fresh = events[len(campaign.events):]
-            for event in fresh:
-                campaign.append(event["kind"], event["data"])
-            if fresh:
-                self._obs.count("stream.campaigns_refreshed")
-                self._lock.notify_all()
 
     def publish(
         self, campaign_id: str, kind: str, data: Dict[str, Any]
@@ -250,7 +220,9 @@ class CampaignHub:
         it becomes visible.  A ``cell`` event whose cell index has
         already been published (a checkpoint-prefill replay after
         resume) is dropped as a duplicate: the original sequence number
-        is returned and no new event appears.
+        is returned and no new event appears.  Publishing to a campaign
+        this hub did not create adopts it: the caller holds its lease,
+        and the writer state is derived from the log.
 
         If the store rejects the append (disk full, I/O error), the
         durable-before-visible contract is enforced rather than quietly
@@ -258,13 +230,19 @@ class CampaignHub:
         failed with a terminal ``error`` event, the
         ``stream.durability_degraded`` counter fires, and
         :class:`~repro.errors.ServiceError` is raised so the runner
-        stops computing cells nobody could ever resume.  A *terminal*
-        event that cannot be journaled still becomes visible (clients
-        need closure) but the campaign is marked ``durable: false`` in
-        its meta — a restart will resume and re-finish it durably.
+        stops computing cells nobody could ever resume.  The terminal
+        event (the refused one, or the error in place of a refused
+        cell) is offered to the store once more; if that fails too it
+        still becomes visible (clients need closure) from memory, and
+        the campaign is marked ``durable: false`` in its meta — a
+        restart will resume and re-finish it durably.
         """
         with self._lock:
-            campaign = self._require(campaign_id)
+            campaign = self._campaigns.get(campaign_id)
+            if campaign is None:
+                meta, events = self._read(campaign_id)
+                campaign = _Campaign(campaign_id, meta, events)
+                self._campaigns[campaign_id] = campaign
             if campaign.done:
                 raise ConfigurationError(
                     f"campaign {campaign_id!r} is already {campaign.state}"
@@ -274,42 +252,27 @@ class CampaignHub:
                 if seen is not None:
                     self._obs.count("stream.duplicates_skipped")
                     return seen
-            if self._store is not None:
-                pending = {
-                    "seq": len(campaign.events) + 1,
-                    "kind": kind,
-                    "data": dict(data),
-                }
-                if not self._store.append_event(campaign_id, pending):
-                    return self._lose_durability(campaign, kind, data)
-            event = campaign.append(kind, data)
+            event = {"seq": campaign.seq + 1, "kind": kind, "data": dict(data)}
+            message = None
+            if not self._log.append_event(campaign_id, event):
+                self._obs.count("stream.durability_degraded")
+                campaign.meta["durable"] = False
+                if kind not in TERMINAL_KINDS:
+                    message = (
+                        f"durability lost: could not journal a {kind!r} "
+                        f"event for campaign {campaign_id!r}"
+                    )
+                    event = dict(event, kind="error", data={"error": message})
+                if not self._log.append_event(campaign_id, event):
+                    campaign.lost = event
+            campaign.record(event)
             if self._store is not None and campaign.done:
                 self._store.close(campaign_id)
             self._obs.count("stream.events")
             self._lock.notify_all()
-            return event["seq"]
-
-    def _lose_durability(
-        self, campaign: _Campaign, kind: str, data: Dict[str, Any]
-    ) -> int:
-        """Handle a rejected store append; callers hold the lock."""
-        self._obs.count("stream.durability_degraded")
-        campaign.meta["durable"] = False
-        if kind in TERMINAL_KINDS:
-            event = campaign.append(kind, data)
-            self._store.close(campaign.id)
-            self._lock.notify_all()
-            return event["seq"]
-        message = (
-            f"durability lost: could not journal a {kind!r} event for "
-            f"campaign {campaign.id!r}"
-        )
-        error = campaign.append("error", {"error": message})
-        self._store.append_event(campaign.id, error)  # best effort
-        self._store.close(campaign.id)
-        self._obs.count("stream.events")
-        self._lock.notify_all()
-        raise ServiceError(message)
+        if message is not None:
+            raise ServiceError(message)
+        return event["seq"]
 
     def finish(self, campaign_id: str, summary: Optional[Dict[str, Any]] = None) -> None:
         """Publish the terminal ``done`` event."""
@@ -322,21 +285,25 @@ class CampaignHub:
     # -- reads ---------------------------------------------------------------
     def snapshot(self, campaign_id: str) -> Dict[str, Any]:
         """Current state of one campaign (meta + progress), JSON-ready."""
-        with self._lock:
-            return self._require(campaign_id).snapshot()
+        meta, events = self._read(campaign_id)
+        return {
+            "campaign_id": campaign_id,
+            "state": _state(events),
+            "events": len(events),
+            "meta": meta,
+        }
 
     def list(self) -> List[Dict[str, Any]]:
-        """Snapshots of every known campaign, oldest first."""
+        """Snapshots of every campaign this hub holds, oldest first."""
         with self._lock:
-            return [campaign.snapshot() for campaign in self._campaigns.values()]
+            return [self.snapshot(campaign_id) for campaign_id in self._campaigns]
 
     def events_since(
         self, campaign_id: str, after: int = 0
     ) -> Tuple[List[Dict[str, Any]], bool]:
-        """Buffered events with ``seq > after`` and whether the campaign is done."""
-        with self._lock:
-            campaign = self._require(campaign_id)
-            return list(campaign.events[after:]), campaign.done
+        """Logged events with ``seq > after`` and whether the campaign is done."""
+        _, events = self._read(campaign_id)
+        return events[after:], _state(events) != "running"
 
     def subscribe(
         self,
@@ -345,31 +312,29 @@ class CampaignHub:
         poll_s: float = 0.25,
         idle_timeout_s: float = 300.0,
     ) -> Iterator[Dict[str, Any]]:
-        """Yield events in order: replay the buffer, then tail until done.
+        """Yield events in order: replay the log, then tail until done.
 
-        Ends after the terminal event, or after *idle_timeout_s* without
-        any new event (a safety valve so an abandoned campaign cannot
-        pin a subscriber thread forever).
+        A publish in this process wakes the subscriber at once; every
+        *poll_s* it re-reads the log anyway, which is how it follows a
+        campaign a sibling replica appends to.  Ends after the terminal
+        event, or after *idle_timeout_s* without any new event (a safety
+        valve so an abandoned campaign cannot pin a subscriber thread
+        forever).
         """
         cursor = after
         deadline = time.monotonic() + idle_timeout_s
         while True:
             with self._lock:
-                campaign = self._require(campaign_id)
-                fresh = list(campaign.events[cursor:])
-                done = campaign.done
+                fresh, done = self.events_since(campaign_id, cursor)
                 if not fresh and not done:
                     self._lock.wait(timeout=poll_s)
-                    fresh = list(campaign.events[cursor:])
-                    done = campaign.done
+                    fresh, done = self.events_since(campaign_id, cursor)
             for event in fresh:
                 yield event
             cursor += len(fresh)
             if fresh:
                 deadline = time.monotonic() + idle_timeout_s
-            if done and not fresh:
-                return
-            if time.monotonic() > deadline:
+            if done or time.monotonic() > deadline:
                 return
 
     # -- retention -----------------------------------------------------------
@@ -396,31 +361,36 @@ class CampaignHub:
             return dict(hint) if hint is not None else None
 
     # -- internals -----------------------------------------------------------
-    def _require(self, campaign_id: str) -> _Campaign:
-        campaign = self._campaigns.get(campaign_id)
-        if campaign is not None:
-            return campaign
-        if self._store is not None:
-            # Eviction with a store only forgot the fast copy: rebuild
-            # the campaign from its manifest + event log transparently.
-            manifest = self._store.load_manifest(campaign_id)
-            if manifest is not None:
-                campaign = self._replay(campaign_id, manifest)
-                self._campaigns[campaign_id] = campaign
-                self._evicted.pop(campaign_id, None)
-                self._obs.count("stream.campaigns_reloaded")
-                return campaign
-        if campaign_id in self._evicted:
-            raise CampaignEvicted(campaign_id, dict(self._evicted[campaign_id]))
-        raise KeyError(campaign_id)
+    def _read(
+        self, campaign_id: str
+    ) -> Tuple[Dict[str, Any], List[Dict[str, Any]]]:
+        """One campaign's meta and its events, read from the log.
 
-    def _replay(self, campaign_id: str, manifest: Dict[str, Any]) -> _Campaign:
-        """Rebuild one campaign from its manifest and durable event log."""
-        meta = manifest.get("meta")
-        campaign = _Campaign(campaign_id, dict(meta) if isinstance(meta, dict) else {})
-        for event in self._store.load_events(campaign_id):
-            campaign.append(event["kind"], event["data"])
-        return campaign
+        A campaign is known if this hub holds it or, with a store, if
+        its manifest is on disk (a sibling's campaign, or one this hub
+        evicted or held before a restart).
+        """
+        with self._lock:
+            campaign = self._campaigns.get(campaign_id)
+            if campaign is not None:
+                meta, lost = dict(campaign.meta), campaign.lost
+            else:
+                manifest = (
+                    self._store.load_manifest(campaign_id)
+                    if self._store is not None else None
+                )
+                if manifest is None:
+                    hint = self._evicted.get(campaign_id)
+                    if hint is not None:
+                        raise CampaignEvicted(campaign_id, dict(hint))
+                    raise KeyError(campaign_id)
+                meta = manifest.get("meta")
+                meta = dict(meta) if isinstance(meta, dict) else {}
+                lost = None
+            events = self._log.load_events(campaign_id)
+        if lost is not None and len(events) == lost["seq"] - 1:
+            events.append(lost)
+        return meta, events
 
     def _evict_finished(self) -> None:
         """Apply both retention bounds; callers hold the lock."""
@@ -440,6 +410,8 @@ class CampaignHub:
             doomed[campaign.id] = campaign
         for campaign in doomed.values():
             self._campaigns.pop(campaign.id, None)
+            if self._store is None:
+                self._log.forget(campaign.id)
             hint: Dict[str, Any] = {"campaign_id": campaign.id}
             for key in ("scenario", "fingerprint", "execution"):
                 if key in campaign.meta:

@@ -142,6 +142,33 @@ class TestBatching:
             assert broker.query(_energy(), timeout=60)["ok"] is True
 
 
+class TestContainment:
+    def test_a_refusal_reruns_alone_and_good_cells_run_once(self, monkeypatch):
+        """One refused cell in a batch must not re-simulate its neighbours."""
+        from repro.experiments.runner import RunSpec
+
+        refusal = _energy(app="ins", duration=25_000.0, scheduler="yds", seed=4)
+        expected = execute_query(refusal)
+        run, seeds = RunSpec.run, []
+
+        def counting_run(spec):
+            seeds.append(spec.seed)
+            return run(spec)
+
+        monkeypatch.setattr(RunSpec, "run", counting_run)
+        guards = ServiceGuards(batch_window_s=0.5)
+        with Broker(cache=ResultCache(), guards=guards, jobs=1) as broker:
+            queries = [_energy(seed=s) for s in (1, 2, 3)] + [refusal]
+            submissions = [broker.submit(query) for query in queries]
+            payloads = [s.future.result(timeout=60) for s in submissions]
+            assert broker.obs.counter_value("batches") == 1
+            assert broker.obs.counter_value("fallbacks") == 1
+        assert [payload["ok"] for payload in payloads] == [True, True, True, False]
+        assert payloads[-1] == expected
+        # Each good cell once; the refusal once in the batch, once rerun.
+        assert sorted(seeds) == [1, 2, 3, 4, 4]
+
+
 class TestTimeouts:
     def test_expired_wait_raises_but_result_still_caches(self):
         with Broker(cache=ResultCache(), jobs=1) as broker:

@@ -158,8 +158,10 @@ def send():
     _inline(wcet=True),
     {**ENERGY, "bcet_ratio": True},
     _inline(priority=1.7),
+    {**ENERGY, "timeout_s": True},
+    {**ENERGY, "timeout_s": "5"},
 ], ids=["record_trace-string", "seed-float", "wcet-bool", "bcet_ratio-bool",
-        "priority-float"])
+        "priority-float", "timeout_s-bool", "timeout_s-string"])
 def test_mistyped_field_is_400_not_coerced(send, body):
     status, payload = send(body)
     assert status == 400, payload
