@@ -6,9 +6,10 @@ turns ``run_many(..., checkpoint=dir)`` into a resumable operation.  Two
 pieces:
 
 * :func:`spec_fingerprint` — a SHA-256 over a *canonical payload* of one
-  :class:`~repro.experiments.runner.RunSpec`, in the same idiom as the
-  service's query fingerprint (:mod:`repro.service.fingerprint`): every
-  float is rendered ``repr``-exact, tasks are sorted by name, and every
+  :class:`~repro.experiments.runner.RunSpec` over the same canonical
+  task form as the service's query fingerprint
+  (:func:`repro.tasks.document.canonical_tasks`): every float is
+  rendered ``repr``-exact, tasks are sorted by name, and every
   knob that determines the cell's result participates.  Two specs with
   equal fingerprints produce bit-identical results, so a journal entry
   *is* the answer.  Cells whose scheduler / fault layer / execution
@@ -33,6 +34,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Any, Dict, Optional, Tuple, Union
 
 from ..durable import AppendLog, ScrubReport, checksum, rewrite, scan
+from ..tasks.document import canonical_tasks, num
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner ← checkpoint)
     from .runner import RunSpec
@@ -45,11 +47,6 @@ JOURNAL_VERSION = 2
 
 #: Journal file name inside a checkpoint directory.
 JOURNAL_NAME = "journal.jsonl"
-
-
-def _num(value: float) -> str:
-    """Canonical string form of one numeric parameter (``repr``-exact)."""
-    return repr(float(value))
 
 
 def _protocol_payload(obj: Any) -> Optional[Dict[str, Any]]:
@@ -104,7 +101,7 @@ def _describe_faults(faults: Any) -> Optional[Dict[str, Any]]:
         ):
             # ScriptedOverrun-style: the explicit job map is the content.
             extra: Any = sorted(
-                (name, _num(factor)) for name, factor in injector.jobs.items()
+                (name, num(factor)) for name, factor in injector.jobs.items()
             )
         else:
             tasks = getattr(injector, "tasks", None)
@@ -113,7 +110,7 @@ def _describe_faults(faults: Any) -> Optional[Dict[str, Any]]:
             {
                 "type": type(injector).__name__,
                 "name": injector.name,
-                "intensity": _num(injector.intensity),
+                "intensity": num(injector.intensity),
                 "extra": extra,
             }
         )
@@ -160,31 +157,18 @@ def canonical_spec_payload(spec: "RunSpec") -> Optional[Dict[str, Any]]:
     model_repr = None if model is None else repr(model)
     if model_repr is not None and "0x" in model_repr:
         return None
-    tasks = []
-    for task in sorted(spec.taskset, key=lambda t: t.name):
-        tasks.append(
-            {
-                "name": task.name,
-                "wcet": _num(task.wcet),
-                "period": _num(task.period),
-                "deadline": _num(task.deadline),
-                "bcet": _num(task.bcet),
-                "phase": _num(task.phase),
-                "priority": None if task.priority is None else int(task.priority),
-            }
-        )
     spec_proc = spec.spec
     return {
         "v": JOURNAL_VERSION,
         "taskset": spec.taskset.name,
-        "tasks": tasks,
+        "tasks": canonical_tasks(spec.taskset),
         "scheduler": scheduler,
         "seed": int(spec.seed),
         "processor": None if spec_proc is None else repr(spec_proc),
         "execution_model": model_repr,
-        "duration": None if spec.duration is None else _num(spec.duration),
+        "duration": None if spec.duration is None else num(spec.duration),
         "on_miss": spec.on_miss,
-        "scheduler_overhead": _num(spec.scheduler_overhead),
+        "scheduler_overhead": num(spec.scheduler_overhead),
         "faults": faults,
         "record_trace": bool(spec.record_trace),
         "execution": spec.execution,

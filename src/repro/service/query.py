@@ -26,12 +26,14 @@ exactly what will run:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Mapping, Optional, Sequence
+from typing import Any, Mapping, Optional
 
 from ..errors import ConfigurationError, ServiceError
+from ..tasks.document import check_keys, fail, integer, number, parse_task, time_scale
 from ..tasks.generation import ExecutionTimeModel, GaussianModel, WcetModel
 from ..tasks.priority import rate_monotonic
-from ..tasks.task import Task, TaskSet
+from ..tasks.task import TaskSet
+from ..workloads.registry import get_workload
 
 #: The question kinds the service answers.
 KINDS = ("schedulability", "rta", "energy")
@@ -39,11 +41,11 @@ KINDS = ("schedulability", "rta", "energy")
 #: Execution-time models a query may name (energy kind only).
 EXECUTION_MODELS = ("wcet", "gaussian")
 
-#: Accepted time units for inline task parameters, as µs multipliers.
-TIME_UNITS: Dict[str, float] = {"us": 1.0, "ms": 1_000.0, "s": 1_000_000.0}
-
-#: Task fields carrying times, scaled by the query's ``time_unit``.
-_TIME_FIELDS = ("wcet", "period", "deadline", "bcet", "phase")
+#: Keys a request body may carry.
+_REQUEST_KEYS = (
+    "kind", "app", "tasks", "time_unit", "scheduler", "seed",
+    "bcet_ratio", "duration", "execution", "record_trace",
+)
 
 
 class QueryError(ServiceError):
@@ -157,54 +159,14 @@ def build_query(
     )
 
 
-def _typed(check: Callable[..., Any], value: Any, path: str, **bounds: bool) -> Any:
-    """*value* through a scenario-schema type *check*, else :class:`QueryError`.
-
-    JSON types are taken literally: a bool is not a number and a float
-    is not an integer, so a mistyped field fails instead of coercing
-    into another request's answer.
-    """
-    try:
-        return check(value, path, **bounds)
-    except ConfigurationError as exc:
-        raise QueryError(str(exc)) from None
-
-
-def _parse_tasks(raw: Sequence[Mapping[str, Any]], unit_scale: float) -> TaskSet:
-    """Build a :class:`TaskSet` from inline JSON task dicts."""
-    from ..scenarios.schema import _integer, _number  # the schema imports us
-
-    if not raw:
-        raise QueryError("tasks must be a non-empty list")
-    tasks = []
-    priorities_given = 0
-    for i, entry in enumerate(raw):
-        if not isinstance(entry, Mapping):
-            raise QueryError(f"tasks[{i}] must be an object")
-        unknown = set(entry) - {"name", "priority", *_TIME_FIELDS}
-        if unknown:
-            raise QueryError(f"tasks[{i}]: unknown fields {sorted(unknown)}")
-        if "name" not in entry or "wcet" not in entry or "period" not in entry:
-            raise QueryError(f"tasks[{i}]: name, wcet, and period are required")
-        kwargs: Dict[str, Any] = {"name": str(entry["name"])}
-        for field in _TIME_FIELDS:
-            if entry.get(field) is not None:
-                value = _typed(_number, entry[field], f"tasks[{i}].{field}")
-                kwargs[field] = value * unit_scale
-        if entry.get("priority") is not None:
-            priority = _typed(_integer, entry["priority"], f"tasks[{i}].priority")
-            kwargs["priority"] = priority
-            priorities_given += 1
-        try:
-            tasks.append(Task(**kwargs))
-        except ConfigurationError as exc:
-            raise QueryError(f"tasks[{i}]: {exc}") from exc
-    if 0 < priorities_given < len(tasks):
-        raise QueryError("either all tasks or none must carry a priority")
-    try:
-        return TaskSet(tasks, name="inline")
-    except ConfigurationError as exc:
-        raise QueryError(str(exc)) from exc
+def _inline_taskset(raw: Any, scale: float) -> TaskSet:
+    """The request's inline ``tasks``: all carry a priority, or none do."""
+    if not isinstance(raw, list) or not raw:
+        fail("tasks", f"expected a non-empty list, got {raw!r}")
+    tasks = [parse_task(entry, f"tasks[{i}]", scale) for i, entry in enumerate(raw)]
+    if 0 < sum(task.priority is not None for task in tasks) < len(tasks):
+        fail("tasks", "either all tasks or none must carry a priority")
+    return TaskSet(tasks, name="inline")
 
 
 def parse_query(request: Mapping[str, Any]) -> Query:
@@ -212,59 +174,38 @@ def parse_query(request: Mapping[str, Any]) -> Query:
 
     The request names its workload either by registry name (``"app"``)
     or inline (``"tasks"`` plus optional ``"time_unit"``); everything
-    else is optional with the library's defaults.
+    else is optional with the library's defaults.  Inline tasks follow
+    :func:`repro.tasks.document.parse_task`; a malformed field is a
+    :class:`QueryError` that starts with its field path.
     """
-    from ..scenarios.schema import _integer, _number  # the schema imports us
-
     if not isinstance(request, Mapping):
         raise QueryError("request body must be a JSON object")
-    known = {
-        "kind", "app", "tasks", "time_unit", "scheduler", "seed",
-        "bcet_ratio", "duration", "execution", "record_trace",
-    }
-    unknown = set(request) - known
-    if unknown:
-        raise QueryError(f"unknown request fields {sorted(unknown)}")
-    kind = request.get("kind", "energy")
-    unit = request.get("time_unit", "us")
-    if unit not in TIME_UNITS:
-        raise QueryError(
-            f"unknown time_unit {unit!r}; available: {', '.join(TIME_UNITS)}"
-        )
-    scale = TIME_UNITS[unit]
-    has_app = request.get("app") is not None
-    has_tasks = request.get("tasks") is not None
-    if has_app == has_tasks:
-        raise QueryError("exactly one of 'app' or 'tasks' is required")
-    if has_app:
-        from ..workloads.registry import available_workloads, get_workload
-
-        try:
+    try:
+        check_keys(request, "", _REQUEST_KEYS)
+        if (request.get("app") is None) == (request.get("tasks") is None):
+            raise QueryError("exactly one of 'app' or 'tasks' is required")
+        scale = time_scale(request.get("time_unit", "us"))
+        if request.get("app") is not None:
             taskset = get_workload(str(request["app"])).taskset
-        except ConfigurationError:
-            raise QueryError(
-                f"unknown workload {request['app']!r}; "
-                f"available: {', '.join(available_workloads())}"
-            ) from None
-    else:
-        tasks = request["tasks"]
-        if not isinstance(tasks, Sequence) or isinstance(tasks, (str, bytes)):
-            raise QueryError("tasks must be a list of task objects")
-        taskset = _parse_tasks(tasks, scale)
-    duration = request.get("duration")
-    if duration is not None:
-        duration = _typed(_number, duration, "duration") * scale
-    bcet_ratio = request.get("bcet_ratio")
-    if bcet_ratio is not None:
-        bcet_ratio = _typed(_number, bcet_ratio, "bcet_ratio")
-    record_trace = request.get("record_trace")
-    if record_trace is not None and not isinstance(record_trace, bool):
-        raise QueryError(f"record_trace: expected a boolean, got {record_trace!r}")
+        else:
+            taskset = _inline_taskset(request["tasks"], scale)
+        duration = request.get("duration")
+        if duration is not None:
+            duration = number(duration, "duration") * scale
+        bcet_ratio = request.get("bcet_ratio")
+        if bcet_ratio is not None:
+            bcet_ratio = number(bcet_ratio, "bcet_ratio")
+        seed = integer(request.get("seed", 1), "seed")
+        record_trace = request.get("record_trace")
+        if record_trace is not None and not isinstance(record_trace, bool):
+            fail("record_trace", f"expected a boolean, got {record_trace!r}")
+    except ConfigurationError as exc:
+        raise QueryError(str(exc)) from None
     return build_query(
-        kind=str(kind),
+        kind=str(request.get("kind", "energy")),
         taskset=taskset,
         scheduler=str(request.get("scheduler", "lpfps")),
-        seed=_typed(_integer, request.get("seed", 1), "seed"),
+        seed=seed,
         bcet_ratio=bcet_ratio,
         duration=duration,
         execution=str(request.get("execution", "gaussian")),

@@ -42,10 +42,11 @@ from urllib.parse import parse_qs, urlparse
 
 from ..errors import ConfigurationError, ServiceError, error_kind
 from ..obs.registry import Registry, install
+from ..tasks.document import number
 from .broker import AdmissionError, Broker, RequestTimeout, ServiceGuards
 from .cache import ResultCache, scrub_cache
 from .durability import CampaignStore, campaign_key
-from .query import Query, QueryError, _typed, parse_query
+from .query import Query, QueryError, parse_query
 from .stream import CampaignEvicted, CampaignHub, TERMINAL_KINDS, sse_render
 
 #: Kernel paths a scenario campaign may request.
@@ -135,12 +136,15 @@ class ScheduleService:
         not the answer — so it is stripped before parsing and never
         reaches the fingerprint.
         """
-        request = dict(request)
-        timeout = request.pop("timeout_s", None)
+        timeout = None
+        if isinstance(request, Mapping):  # anything else fails in parse_query
+            request = dict(request)
+            timeout = request.pop("timeout_s", None)
         if timeout is not None:
-            from ..scenarios.schema import _number  # the schema imports us
-
-            timeout = _typed(_number, timeout, "timeout_s", positive=True)
+            try:
+                timeout = number(timeout, "timeout_s", positive=True)
+            except ConfigurationError as exc:
+                raise QueryError(str(exc)) from None
         return self.query(parse_query(request), timeout=timeout)
 
     def submit_scenario(self, request: Mapping[str, Any]) -> Dict[str, Any]:
@@ -416,6 +420,9 @@ class _Handler(BaseHTTPRequestHandler):
 
     server: "ServiceHTTPServer"
     protocol_version = "HTTP/1.1"
+    # Headers and body go out as two sends; with Nagle on, the body waits
+    # for the client's delayed ACK (~40 ms) on a kept-alive connection.
+    disable_nagle_algorithm = True
 
     # -- plumbing ------------------------------------------------------------
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002

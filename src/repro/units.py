@@ -24,6 +24,9 @@ MS = 1_000.0
 #: One second in base units.
 SECOND = 1_000_000.0
 
+#: Time units a JSON document may declare, as multipliers into base units.
+TIME_UNITS = {"us": US, "ms": MS, "s": SECOND}
+
 #: One megahertz, the base frequency unit (cycles per µs).
 MHZ = 1.0
 

@@ -14,7 +14,7 @@ import pytest
 from repro.analysis.weakly_hard import WeaklyHard
 from repro.errors import ConfigurationError
 from repro.scenarios import SCHEMA_ID, load_scenario, parse_scenario
-from repro.service.fingerprint import taskset_fingerprint
+from repro.tasks.document import taskset_fingerprint
 
 
 def _doc(**overrides):

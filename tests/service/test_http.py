@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+import http.client
 import json
+import statistics
+import time
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -152,19 +156,60 @@ def send():
     service.close()
 
 
-@pytest.mark.parametrize("body", [
-    {**ENERGY, "record_trace": "false"},
-    {**ENERGY, "seed": 7.9},
-    _inline(wcet=True),
-    {**ENERGY, "bcet_ratio": True},
-    _inline(priority=1.7),
-    {**ENERGY, "timeout_s": True},
-    {**ENERGY, "timeout_s": "5"},
+@pytest.mark.parametrize("body,path", [
+    ({**ENERGY, "record_trace": "false"}, "record_trace"),
+    ({**ENERGY, "seed": 7.9}, "seed"),
+    (_inline(wcet=True), "tasks[0].wcet"),
+    ({**ENERGY, "bcet_ratio": True}, "bcet_ratio"),
+    (_inline(priority=1.7), "tasks[0].priority"),
+    ({**ENERGY, "timeout_s": True}, "timeout_s"),
+    ({**ENERGY, "timeout_s": "5"}, "timeout_s"),
+    (_inline(name=5), "tasks[0].name"),
+    (_inline(name=None), "tasks[0].name"),
+    (_inline(priority=-1), "tasks[0].priority"),
+    ({**_inline(), "time_unit": ["ms"]}, "time_unit"),
+    (_inline(period=float("nan")), "tasks[0].period"),
+    ({**ENERGY, "duration": float("inf")}, "duration"),
 ], ids=["record_trace-string", "seed-float", "wcet-bool", "bcet_ratio-bool",
-        "priority-float", "timeout_s-bool", "timeout_s-string"])
-def test_mistyped_field_is_400_not_coerced(send, body):
+        "priority-float", "timeout_s-bool", "timeout_s-string", "name-int",
+        "name-null", "priority-negative", "time_unit-list", "period-nan",
+        "duration-infinite"])
+def test_mistyped_field_is_400_not_coerced(send, body, path):
     status, payload = send(body)
     assert status == 400, payload
+    assert payload["error"].startswith(f"{path}: "), payload
+
+
+@pytest.mark.parametrize("body", [[1, 2], "query", 5])
+def test_non_object_body_is_400(send, body):
+    status, payload = send(body)
+    assert status == 400, payload
+    assert "JSON object" in payload["error"]
+
+
+def test_keep_alive_requests_do_not_stall(service_url):
+    """Kept-alive answers go out at once, not after a delayed ACK.
+
+    The handler writes headers and body in two sends; with Nagle's
+    algorithm on, the body waits ~40 ms for the client's delayed ACK on
+    every request after the first.
+    """
+    parsed = urllib.parse.urlparse(service_url)
+    body = json.dumps({"kind": "schedulability", "app": "cnc"})
+    connection = http.client.HTTPConnection(parsed.hostname, parsed.port, timeout=30)
+    try:
+        latencies = []
+        for _ in range(10):
+            start = time.perf_counter()
+            connection.request("POST", "/v1/query", body,
+                               {"Content-Type": "application/json"})
+            response = connection.getresponse()
+            assert response.status == 200
+            response.read()
+            latencies.append(time.perf_counter() - start)
+    finally:
+        connection.close()
+    assert statistics.median(latencies) < 0.020, latencies
 
 
 def test_admission_overflow_returns_503_with_retry_after():
